@@ -3,10 +3,20 @@
 The ambient ring is K[Y_1..Y_d][X_1..X_m] with deg Y = 0 and deg X = 1,
 char K = 0.  Variables are indexed 0..d-1 (the Y block) then d..d+m-1
 (the X block).  Every multidegree α sees, inside the generator-indexed
-covering complex, a finite subcomplex that depends only on the sign
-pattern N(α) = {v : α_v < 0}; this module enumerates those slices,
-takes their cohomology, and derives nonvanishing shapes, dimensions,
-Hilbert data, localizations and supports from the resulting profile.
+Čech complex, a finite slice that depends only on the sign pattern
+P = N(α) = {v : α_v < 0}.  The profile takes each slice's cohomology on
+the variable side instead, by Mustaţă's formula: for nonempty P,
+
+    h^i(P) = H̃^{i−2}(K|_P),   K = {Q : some generator support misses Q},
+
+so the work follows the variables in P rather than the subsets of the
+generators.  K|_P is spanned by the maximal sets P∖supp_j; when some
+variable lies in all of them the complex is a cone, hence acyclic, and
+the pattern is skipped without linear algebra.  The generator-side
+slices stay available (slice_complex, slice_basis) for the wall
+crossings and the window oracle.  From the profile this module derives
+nonvanishing shapes, dimensions, Hilbert data, localizations and
+supports.
 """
 
 from __future__ import annotations
@@ -295,7 +305,7 @@ class CohomologyProfile:
 
     def h(self, pattern, i):
         dims = self.by_pattern.get(frozenset(pattern))
-        if dims is None or i >= len(dims):
+        if dims is None or not 0 <= i < len(dims):
             return 0
         return dims[i]
 
@@ -316,23 +326,110 @@ class CohomologyProfile:
         return f"CohomologyProfile({self.ideal!r}, {len(self.by_pattern)} patterns)"
 
 
-@lru_cache(maxsize=None)
+def _link_facets(support_masks, pattern_mask):
+    """Facets of K|_P as bitmasks over variables: the maximal sets P∖supp_j.
+
+    K = {Q : some generator support is disjoint from Q}, so the faces of
+    its restriction to P are exactly the subsets of some P∖supp_j.
+    """
+    candidates = {pattern_mask & ~s for s in support_masks}
+    return [
+        f for f in candidates if not any(f != h and f & h == f for h in candidates)
+    ]
+
+
+def _is_cone(facets):
+    """Whether some vertex lies in every facet (then the complex is acyclic)."""
+    common = facets[0]
+    for f in facets[1:]:
+        common &= f
+    return common != 0
+
+
+def _link_complex(facets):
+    """Augmented simplicial cochain complex of the complex spanned by facets.
+
+    Level p holds the faces with p vertices (level 0 is the empty face),
+    each level in increasing mask order; the coboundary carries the sign
+    (−1)^t for the t-th vertex of a face in increasing order.  It is kept
+    apart from _complex_from_alive so the engine and the window oracle
+    share no complex-building code.
+    """
+    faces = set()
+    for f in facets:
+        sub = f
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & f
+    levels = [[] for _ in range(max(f.bit_count() for f in facets) + 1)]
+    for q in sorted(faces):
+        levels[q.bit_count()].append(q)
+    index = [{q: col for col, q in enumerate(level)} for level in levels]
+    diffs = []
+    for p in range(len(levels) - 1):
+        entries = {}
+        for row, tau in enumerate(levels[p + 1]):
+            rest, t = tau, 0
+            while rest:
+                low = rest & -rest
+                entries[(row, index[p][tau ^ low])] = -1 if t % 2 else 1
+                rest ^= low
+                t += 1
+        diffs.append(ExactMatrix(len(levels[p + 1]), len(levels[p]), entries))
+    return FiniteComplex([len(level) for level in levels], diffs)
+
+
+@lru_cache(maxsize=65536)
+def _link_dims(facets):
+    """Reduced cohomology (H̃^{-1}, H̃^0, ...) of the complex spanned by facets.
+
+    Facets come relabelled onto the low bits, so patterns of any ideal
+    whose restricted complexes coincide share one rank computation.
+    """
+    return cohomology_dims(_link_complex(facets))
+
+
+def _relabel(facets):
+    """Facets re-encoded on consecutive low bits, in vertex order, sorted."""
+    union = 0
+    for f in facets:
+        union |= f
+    bits = [1 << v for v in range(union.bit_length()) if union >> v & 1]
+    return tuple(sorted(sum(1 << k for k, b in enumerate(bits) if f & b) for f in facets))
+
+
+@lru_cache(maxsize=1024)
 def _profile_normalized(ideal):
     supports = ideal.supports
     g = len(supports)
+    masks = [sum(1 << v for v in s) for s in supports]
     union = sorted(frozenset().union(*supports))
     by_pattern = {}
-    for r in range(len(union) + 1):
+    for r in range(1, len(union) + 1):
         for subset in combinations(union, r):
-            pattern = frozenset(subset)
-            dims = _cech_dims(_alive_masks(supports, pattern), g)
+            facets = _link_facets(masks, sum(1 << v for v in subset))
+            if _is_cone(facets):
+                continue
+            # h^i(P) = H̃^{i-2}(K|_P), and H̃^{i-2} sits at index i-1
+            dims = (0,) + _link_dims(_relabel(facets))
+            if any(dims[g + 1 :]):
+                raise AssertionError(f"link cohomology beyond index {g} at {subset}")
+            dims = dims[: g + 1] + (0,) * (g + 1 - len(dims))
             if any(dims):
-                by_pattern[pattern] = dims
+                by_pattern[frozenset(subset)] = dims
     return CohomologyProfile(ideal, g, by_pattern)
 
 
 def cohomology_profile(ideal):
-    """Full sign-pattern profile of an ideal (computed on its normal form)."""
+    """Full sign-pattern profile of an ideal (computed on its normal form).
+
+    Each nonempty pattern P inside the union of the supports gets
+    h^i(P) = H̃^{i−2}(K|_P) (Mustaţă's formula), read off the augmented
+    cochain complex of K|_P; patterns where K|_P is a cone are zero and
+    build no complex.  The empty pattern is always zero.
+    """
     return _profile_normalized(normalize(ideal))
 
 

@@ -117,7 +117,7 @@ def window_oracle(ideal, i, alpha):
         raise ValueError("multidegree length mismatch")
     mask_sums = _mask_exponent_sums(ideal.generators)
     dims = _cech_dims(_alive_by_divisibility(mask_sums, alpha), len(ideal.generators))
-    return dims[i] if i < len(dims) else 0
+    return dims[i] if 0 <= i < len(dims) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,8 @@ def _box(bound, nvars):
 
 def oracle_compare(ideal, bound=2):
     """Compare the divisibility oracle with the pattern engine at every
-    multidegree in [−bound, bound]^nvars and every index."""
+    multidegree in [−bound, bound]^nvars and every index from −1 to one
+    past the top, so both routes must also read 0 outside the complex."""
     if bound < 2:
         raise ValueError("bound must be at least 2")
     ctx = ideal.context
@@ -218,8 +219,8 @@ def oracle_compare(ideal, bound=2):
         dims = _cech_dims(alive, g_raw)
         pattern = ctx.sign_pattern(alpha)
         bad = []
-        for i in range(top + 1):
-            oracle = dims[i] if i < len(dims) else 0
+        for i in range(-1, top + 2):
+            oracle = dims[i] if 0 <= i < len(dims) else 0
             engine = profile.h(pattern, i)
             if oracle != engine:
                 bad.append((alpha, i, oracle, engine))

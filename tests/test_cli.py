@@ -194,6 +194,18 @@ def test_dim_strand_values(capsys):
     assert code == 2
 
 
+def test_negative_index_reads_zero(capsys):
+    code, out, _ = run_cli(capsys, "dim", MAXX2_SPEC, "-i", "-1", "-n", "-3")
+    assert code == 0
+    assert "i=-1 n=-3: 0" in out
+    code, out, _ = run_cli(capsys, "pattern", MAXX2_SPEC, "-i", "-1")
+    assert code == 0
+    assert "i=-1: none" in out
+    code, out, _ = run_cli(capsys, "support", MIXED_SPEC, "-i", "-1", "-n", "0")
+    assert code == 0
+    assert "zero piece" in out
+
+
 def test_bad_degree_flags(capsys):
     code, _, err = run_cli(capsys, "dim", MAXX2_SPEC, "-i", "2", "-n", "5..1")
     assert code == 2 and "empty degree range" in err
@@ -287,6 +299,11 @@ def test_koszul_flag_errors(capsys):
     )
     assert code == 2
     assert err.strip() == "lclab: unknown variable 'Q'"
+    code, _, err = run_cli(
+        capsys, "koszul", MAXX2_SPEC, "--var", "X1", "--kind", "mult", "-i", "-1", "-n", "0"
+    )
+    assert code == 2
+    assert err.strip() == "lclab: cohomological index must be nonnegative, got -1"
 
 
 # ---------------------------------------------------------------------------

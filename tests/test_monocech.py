@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lclab.exactlin import cohomology_dims
 from lclab.monocech import (
     INFINITE,
     UNIT_IDEAL,
@@ -26,6 +28,8 @@ from lclab.monocech import (
     support_min_primes,
     x_lattice_count,
 )
+from lclab.monocech import _is_cone, _link_facets, _profile_normalized
+from lclab.verify import exhaustive_ideals, random_battery
 
 CTX_MIXED = VariableContext(("Y1", "Y2"), ("X1",))
 MIXED = MonomialIdeal(CTX_MIXED, [(1, 1, 0), (1, 0, 1)])  # (Y1*Y2, Y1*X1)
@@ -143,6 +147,70 @@ def test_profile_h_defaults_to_zero():
     prof = cohomology_profile(MIXED)
     assert prof.h(frozenset({2}), 1) == 0
     assert prof.h(frozenset({0}), 7) == 0  # beyond the generator count
+
+
+def test_profile_h_is_zero_at_negative_indices():
+    # a negative index must not wrap round to the top of the rank vector
+    for ideal in (MIXED, MAXX2, CROSS):
+        prof = cohomology_profile(ideal)
+        for pattern in prof.patterns():
+            assert prof.h(pattern, -1) == 0
+            assert prof.h(pattern, -prof.gen_count - 1) == 0
+    assert pattern_report(MAXX2, -1).shape is PatternShape.EMPTY
+    assert piece_dimension(MAXX2, -1, -3) == DimValue(0)
+
+
+def test_profile_cache_is_bounded():
+    assert _profile_normalized.cache_info().maxsize is not None
+
+
+# ---------------------------------------------------------------------------
+# link-complex engine against the generator-side slice complex
+# ---------------------------------------------------------------------------
+
+
+def _assert_profile_matches_slices(ideal):
+    prof = cohomology_profile(ideal)
+    zero = (0,) * (prof.gen_count + 1)
+    nvars = ideal.context.nvars
+    for r in range(nvars + 1):
+        for subset in combinations(range(nvars), r):
+            pattern = frozenset(subset)
+            expected = cohomology_dims(slice_complex(ideal, pattern))
+            assert prof.by_pattern.get(pattern, zero) == expected, (ideal, subset)
+
+
+def test_link_profile_matches_slices_exhaustively():
+    for ideal in exhaustive_ideals(4):
+        _assert_profile_matches_slices(ideal)
+
+
+def test_link_profile_matches_slices_on_random_battery():
+    for ideal in random_battery(count=120, seed=7, max_nvars=7):
+        _assert_profile_matches_slices(ideal)
+
+
+def _edge_ideal(n, edges):
+    ctx = VariableContext((), tuple(f"X{j}" for j in range(1, n + 1)))
+    return MonomialIdeal(ctx, [tuple(1 if v in e else 0 for v in range(n)) for e in edges])
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [
+        _edge_ideal(8, [(j, (j + 1) % 8) for j in range(8)]),
+        _edge_ideal(5, list(combinations(range(5), 2))),
+    ],
+    ids=["C8", "K5"],
+)
+def test_cone_pruned_patterns_are_exactly_the_zero_ones(ideal):
+    prof = cohomology_profile(ideal)
+    masks = [sum(1 << v for v in s) for s in normalize(ideal).supports]
+    nvars = ideal.context.nvars
+    for r in range(1, nvars + 1):
+        for subset in combinations(range(nvars), r):
+            cone = _is_cone(_link_facets(masks, sum(1 << v for v in subset)))
+            assert cone == (frozenset(subset) not in prof.by_pattern), subset
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,12 @@ def test_window_oracle_frozen_values():
     assert window_oracle(MIXED, 2, (2, -1, -1)) == 1
 
 
+def test_window_oracle_is_zero_at_negative_indices():
+    assert window_oracle(MAXX2, -1, (-1, -1)) == 0
+    assert window_oracle(MAXX2, -3, (-1, -1)) == 0
+    assert window_oracle(MIXED, -1, (2, -1, -1)) == 0
+
+
 def test_window_oracle_rejects_wrong_length():
     with pytest.raises(ValueError):
         window_oracle(MAXX2, 1, (0, 0, 0))
