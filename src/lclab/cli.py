@@ -417,9 +417,10 @@ def cmd_koszul(args):
         raise CliError(2, exc.args[0]) from None
     if args.kind == "derham" and v not in ctx.x_indices:
         raise CliError(2, "derivatives are only taken in degree-1 variables")
-    if args.cohomdeg < 0:
-        raise CliError(2, f"cohomological index must be nonnegative, got {args.cohomdeg}")
-    module = LocalCohomologyModule(ideal, args.cohomdeg)
+    try:
+        module = LocalCohomologyModule(ideal, args.cohomdeg)
+    except ValueError as exc:
+        raise CliError(2, exc.args[0]) from None
     homology = koszul_homology_X if args.kind == "mult" else derham_homology
     rows, lines = [], []
     for n in _parse_degrees(args.degree):

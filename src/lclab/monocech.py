@@ -381,25 +381,6 @@ def _link_complex(facets):
     return FiniteComplex([len(level) for level in levels], diffs)
 
 
-@lru_cache(maxsize=65536)
-def _link_dims(facets):
-    """Reduced cohomology (H̃^{-1}, H̃^0, ...) of the complex spanned by facets.
-
-    Facets come relabelled onto the low bits, so patterns of any ideal
-    whose restricted complexes coincide share one rank computation.
-    """
-    return cohomology_dims(_link_complex(facets))
-
-
-def _relabel(facets):
-    """Facets re-encoded on consecutive low bits, in vertex order, sorted."""
-    union = 0
-    for f in facets:
-        union |= f
-    bits = [1 << v for v in range(union.bit_length()) if union >> v & 1]
-    return tuple(sorted(sum(1 << k for k, b in enumerate(bits) if f & b) for f in facets))
-
-
 @lru_cache(maxsize=1024)
 def _profile_normalized(ideal):
     supports = ideal.supports
@@ -413,7 +394,7 @@ def _profile_normalized(ideal):
             if _is_cone(facets):
                 continue
             # h^i(P) = H̃^{i-2}(K|_P), and H̃^{i-2} sits at index i-1
-            dims = (0,) + _link_dims(_relabel(facets))
+            dims = (0,) + cohomology_dims(_link_complex(facets))
             if any(dims[g + 1 :]):
                 raise AssertionError(f"link cohomology beyond index {g} at {subset}")
             dims = dims[: g + 1] + (0,) * (g + 1 - len(dims))

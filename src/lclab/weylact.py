@@ -220,7 +220,7 @@ class LocalCohomologyModule(PatternModulePresentation):
 
     def __init__(self, ideal, i):
         if i < 0:
-            raise ValueError("cohomological index must be nonnegative")
+            raise ValueError(f"cohomological index must be nonnegative, got {i}")
         ideal = normalize(ideal)
         super().__init__(ideal.context)
         self.ideal = ideal
