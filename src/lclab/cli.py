@@ -1,6 +1,6 @@
 """Command-line surface: ideal-spec files, queries, and verification runs.
 
-Spec files are JSON documents with three fields::
+Spec files are JSON documents with exactly these three fields::
 
     {
       "deg0_vars": ["Y1", "Y2"],
@@ -16,7 +16,7 @@ file, line and column, and exit with code 2.
 Exit codes: 0 success, 1 verification failure, 2 bad input or usage.
 JSON output (``--json``) is byte-stable for fixed input, carries a
 ``schema_version`` field, and renders infinite dimensions as the string
-``"infinite"``.  LCLAB_THREADS caps internal worker threads.
+``"infinite"``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .monocech import (
 )
 from .verify import (
     VerificationReport,
-    parallel_map,
     random_battery,
     run_corpus,
     theorem_suite,
@@ -64,6 +63,7 @@ class CliError(Exception):
 # spec-file parsing
 # ---------------------------------------------------------------------------
 
+_SPEC_KEYS = frozenset({"deg0_vars", "deg1_vars", "generators"})
 _VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _POSINT_RE = re.compile(r"[1-9][0-9]*")
 
@@ -161,6 +161,13 @@ def parse_spec(path):
         raise CliError(2, f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise CliError(2, f"{path}: top level must be an object")
+    unknown = sorted(set(doc) - _SPEC_KEYS)
+    if unknown:
+        raise CliError(
+            2,
+            f"{path}: unknown field(s) {', '.join(map(repr, unknown))} "
+            f"(allowed: {', '.join(sorted(_SPEC_KEYS))})",
+        )
     deg0 = _require_name_list(doc, "deg0_vars", path)
     deg1 = _require_name_list(doc, "deg1_vars", path)
     if not deg1:
@@ -448,10 +455,8 @@ def cmd_verify(args):
         if args.random < 1:
             raise CliError(2, "--random needs a positive count")
         report = VerificationReport()
-        for piece in parallel_map(
-            theorem_suite, random_battery(count=args.random, seed=args.seed)
-        ):
-            report.extend(piece)
+        for member in random_battery(count=args.random, seed=args.seed):
+            report.extend(theorem_suite(member))
     else:
         ideal = parse_spec(args.spec)
         report = theorem_suite(ideal)

@@ -295,29 +295,31 @@ class IntegerPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Rational helpers (kernel bases, spans, exact solving).  These feed the
-# explicit-basis machinery; ranks still go through Bareiss above.
+# Explicit-basis helpers (kernel bases, spans, exact solving).  Kernels
+# are fraction-free; spans and solves work over Fraction, and ranks still
+# go through Bareiss above.
 # ---------------------------------------------------------------------------
 
 
-def _scale_to_int(vec):
-    """Clear denominators and divide out the content, keeping the direction."""
-    denoms = [f.denominator for f in vec if f]
-    if not denoms:
-        return [0] * len(vec)
-    scale = math.lcm(*denoms)
-    ints = [int(f * scale) for f in vec]
-    g = math.gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+def _primitive(row):
+    """Divide an integer row by the gcd of its entries (zero rows unchanged)."""
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
 
 def kernel_basis(matrix):
     """Integer basis of the right kernel of an ExactMatrix.
 
-    Returned as a list of length-ncols int vectors (Gauss over Q, then
-    denominators cleared per vector).
+    Returned as a list of length-ncols int vectors, one per free column
+    in increasing order.  The reduced echelon form is computed
+    fraction-free: a row is cleared by ``piv*row_i - t*row_r`` and then
+    divided by its content.  Every row is a nonzero multiple of the
+    matching row of the RREF over Q, so the pivots are the same, and each
+    returned vector is the primitive one with a positive entry on its
+    free column: the same basis Gauss over Q gives.
     """
     m, n = matrix.nrows, matrix.ncols
-    rows = [[Fraction(v) for v in r] for r in matrix.to_rows()]
+    rows = matrix.to_rows()
     pivots = []
     r = 0
     for c in range(n):
@@ -325,12 +327,12 @@ def kernel_basis(matrix):
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        rows[r] = [v / piv for v in rows[r]]
+        piv_row = rows[r] = _primitive(rows[r])
+        piv = piv_row[c]
         for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            t = rows[i][c]
+            if i != r and t:
+                rows[i] = _primitive([piv * a - t * b for a, b in zip(rows[i], piv_row)])
         pivots.append(c)
         r += 1
         if r == m:
@@ -338,11 +340,14 @@ def kernel_basis(matrix):
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        basis.append(_scale_to_int(vec))
+        # vec[pc] = -rows[i][fc] / rows[i][pc], scaled by the lcm of the pivots used
+        used = [(i, pc) for i, pc in enumerate(pivots) if rows[i][fc]]
+        scale = math.lcm(*(rows[i][pc] for i, pc in used))
+        vec = [0] * n
+        vec[fc] = scale
+        for i, pc in used:
+            vec[pc] = -rows[i][fc] * (scale // rows[i][pc])
+        basis.append(_primitive(vec))
     return basis
 
 

@@ -10,9 +10,7 @@ examples with frozen expectations.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -47,25 +45,6 @@ from .weylact import (
     koszul_homology_X,
     koszul_homology_Y,
 )
-
-
-def worker_count():
-    """Worker cap from LCLAB_THREADS (default 1: plain sequential maps)."""
-    raw = os.environ.get("LCLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when LCLAB_THREADS allows it."""
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +192,15 @@ def oracle_compare(ideal, bound=2):
     top = max(g_raw, profile.gen_count)
     mask_sums = _mask_exponent_sums(ideal.generators)
     mismatches = []
-
-    def check_alpha(alpha):
+    for alpha in _box(bound, ctx.nvars):
         alive = _alive_by_divisibility(mask_sums, alpha)
         dims = _cech_dims(alive, g_raw)
         pattern = ctx.sign_pattern(alpha)
-        bad = []
         for i in range(-1, top + 2):
             oracle = dims[i] if 0 <= i < len(dims) else 0
             engine = profile.h(pattern, i)
             if oracle != engine:
-                bad.append((alpha, i, oracle, engine))
-        return bad
-
-    for bad in parallel_map(check_alpha, _box(bound, ctx.nvars)):
-        mismatches.extend(bad)
+                mismatches.append((alpha, i, oracle, engine))
 
     report = VerificationReport()
     if mismatches:
@@ -889,10 +862,7 @@ def run_golden_case(case):
 def run_corpus():
     """All corpus cases plus the full structural suite on each."""
     report = VerificationReport()
-    for case_report in parallel_map(
-        lambda case: (run_golden_case(case), theorem_suite(case.ideal)),
-        golden_corpus(),
-    ):
-        report.extend(case_report[0])
-        report.extend(case_report[1])
+    for case in golden_corpus():
+        report.extend(run_golden_case(case))
+        report.extend(theorem_suite(case.ideal))
     return report

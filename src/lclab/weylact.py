@@ -216,6 +216,11 @@ class LocalCohomologyModule(PatternModulePresentation):
     extend the boundary space; wall crossings are computed by pushing a
     representative through the chain-level inclusion of alive subsets and
     re-expressing it modulo boundaries in the target basis.
+
+    A crossing depends only on (pattern, v), not on the degree, so each is
+    built once and kept on the module next to the per-pattern slice data;
+    every query over a degree range reads the same matrices.  Callers get
+    a fresh copy of the rows.
     """
 
     def __init__(self, ideal, i):
@@ -227,6 +232,7 @@ class LocalCohomologyModule(PatternModulePresentation):
         self.i = i
         self.profile = cohomology_profile(ideal)
         self._data = {}
+        self._crossings = {}
 
     def pattern_dim(self, pattern):
         return self.profile.h(pattern, self.i)
@@ -270,6 +276,12 @@ class LocalCohomologyModule(PatternModulePresentation):
         pattern = frozenset(pattern)
         if v not in pattern:
             raise ValueError("crossing needs the variable negative on the source side")
+        rows = self._crossings.get((pattern, v))
+        if rows is None:
+            rows = self._crossings[pattern, v] = self._build_crossing(pattern, v)
+        return [list(row) for row in rows]
+
+    def _build_crossing(self, pattern, v):
         target = pattern - {v}
         src_dim = self.pattern_dim(pattern)
         tgt_dim = self.pattern_dim(target)

@@ -2,9 +2,12 @@
 
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import lclab
 from lclab.cli import CliError, emit_spec, main, parse_spec
 from lclab.monocech import normalize
 from lclab.verify import VerificationReport
@@ -102,6 +105,35 @@ def test_parse_spec_missing_file():
     with pytest.raises(CliError) as err:
         parse_spec("/nonexistent/spec.json")
     assert err.value.code == 2
+
+
+def test_parse_spec_rejects_unknown_fields(tmp_path, capsys):
+    path = write_spec(
+        tmp_path,
+        '{"deg0_vars": [], "deg1_vars": ["X1"], "generators": ["X1"], '
+        '"generator": ["X1"], "comment": "typo"}',
+    )
+    with pytest.raises(CliError) as err:
+        parse_spec(path)
+    assert err.value.code == 2
+    assert "'comment', 'generator'" in err.value.message
+    code, out, stderr = run_cli(capsys, "pattern", path, "--all")
+    assert code == 2 and out == ""
+    assert "unknown field" in stderr and "'generator'" in stderr
+    for case in CASES.glob("*.json"):
+        parse_spec(str(case))
+
+
+def test_import_pulls_in_no_thread_pool():
+    src = str(pathlib.Path(lclab.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import lclab.cli; "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_round_trip_is_identity(tmp_path):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,43 @@ from lclab.exactlin import (
     rank_fraction_rows,
     solve_columns,
 )
+from lclab.monocech import slice_complex
+from lclab.verify import exhaustive_ideals
+
+
+def gauss_kernel(matrix):
+    """Reference kernel: Gauss–Jordan over Fraction, then each vector
+    scaled to the primitive integer one (free coordinate positive)."""
+    m, n = matrix.nrows, matrix.ncols
+    rows = [[Fraction(v) for v in r] for r in matrix.to_rows()]
+    pivots = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, m) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        piv = rows[r][c]
+        rows[r] = [v / piv for v in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -rows[i][fc]
+        scale = math.lcm(*(f.denominator for f in vec))
+        ints = [int(f * scale) for f in vec]
+        g = math.gcd(*ints)
+        basis.append([v // g for v in ints])
+    return basis
 
 
 def gauss_rank(rows):
@@ -215,6 +253,32 @@ def test_kernel_basis_annihilated_and_counts(rows):
             assert sum(x * y for x, y in zip(row, vec)) == 0
     # basis vectors are independent
     assert rank(ExactMatrix.from_rows(basis, ncols=a.ncols)) == len(basis)
+
+
+@settings(max_examples=300)
+@given(int_matrices(max_dim=7))
+def test_kernel_basis_matches_fraction_gauss(rows):
+    a = ExactMatrix.from_rows(rows)
+    assert kernel_basis(a) == gauss_kernel(a)
+
+
+def test_kernel_basis_matches_fraction_gauss_on_slice_coboundaries():
+    checked = 0
+    for ideal in exhaustive_ideals(3):
+        nvars = ideal.context.nvars
+        for r in range(nvars + 1):
+            for pattern in combinations(range(nvars), r):
+                for d in slice_complex(ideal, frozenset(pattern)).diffs:
+                    assert kernel_basis(d) == gauss_kernel(d)
+                    checked += 1
+    assert checked == 786
+
+
+def test_kernel_basis_edge_shapes():
+    assert kernel_basis(ExactMatrix(0, 3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kernel_basis(ExactMatrix(2, 0)) == []
+    assert kernel_basis(ExactMatrix.from_rows([[2, 4, -6]])) == [[-2, 1, 0], [3, 0, 1]]
+    assert kernel_basis(ExactMatrix.from_rows([[-3, 2], [6, -4]])) == [[2, 3]]
 
 
 def test_subspace_incremental_span():

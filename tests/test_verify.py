@@ -13,14 +13,12 @@ from lclab.verify import (
     exhaustive_ideals,
     golden_corpus,
     oracle_compare,
-    parallel_map,
     random_battery,
     random_ideal,
     run_corpus,
     run_golden_case,
     theorem_suite,
     window_oracle,
-    worker_count,
 )
 
 CTX_X2 = VariableContext((), ("X1", "X2"))
@@ -121,16 +119,6 @@ def test_report_counts_and_json():
     assert blob["passed"] is False
     assert blob["checks"][1]["witness"] == {"n": 3}
     assert "witness" not in blob["checks"][0]
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    items = list(range(25))
-    assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
-    monkeypatch.setenv("LCLAB_THREADS", "4")
-    assert worker_count() == 4
-    assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
-    monkeypatch.setenv("LCLAB_THREADS", "not-a-number")
-    assert worker_count() == 1
 
 
 # ---------------------------------------------------------------------------

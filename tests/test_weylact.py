@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lclab import weylact
 from lclab.monocech import (
     INFINITE,
     DimValue,
@@ -11,6 +13,7 @@ from lclab.monocech import (
     VariableContext,
     cohomology_profile,
 )
+from lclab.verify import random_battery
 from lclab.weylact import (
     KoszulConvention,
     LocalCohomologyModule,
@@ -40,6 +43,17 @@ MIXED = MonomialIdeal(CTX_MIX, [(1, 1, 0), (1, 0, 1)])
 
 CTX_Y = VariableContext(("Y1",), ("X1",))
 YPLANE = MonomialIdeal(CTX_Y, [(1, 0)])
+
+
+def cycle_ideal(k):
+    """Edge ideal of the k-cycle in k degree-1 variables."""
+    ctx = VariableContext((), tuple(f"X{j}" for j in range(1, k + 1)))
+    return MonomialIdeal(
+        ctx, [tuple(1 if t in (j, (j + 1) % k) else 0 for t in range(k)) for j in range(k)]
+    )
+
+
+C7 = cycle_ideal(7)
 
 
 def fin(n):
@@ -239,6 +253,68 @@ def test_koszul_infinite_with_witness():
         for which, pattern, _w, count in contribs
     )
     assert koszul_homology_X(mod, 0, -1) == (fin(0), fin(0))
+
+
+# ---------------------------------------------------------------------------
+# crossings are built once per (pattern, v) and shared across degrees
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [C7, *random_battery(count=12, seed=5)],
+    ids=["C7", *(f"battery-5-{t}" for t in range(12))],
+)
+def test_shared_module_matches_fresh_modules(ideal):
+    ctx = ideal.context
+    degrees = range(-4, 5)
+    for i in range(len(ideal.generators) + 1):
+        shared = LocalCohomologyModule(ideal, i)
+        if not shared.patterns():
+            continue
+        for v in range(ctx.nvars):
+            kinds = [koszul_homology_X] + ([derham_homology] if v in ctx.x_indices else [])
+            for homology in kinds:
+                for n in degrees:
+                    fresh = homology(LocalCohomologyModule(ideal, i), v, n)
+                    assert homology(shared, v, n) == fresh, (i, v, n, homology.__name__)
+
+
+def test_mutating_a_crossing_leaves_the_module_intact():
+    module = LocalCohomologyModule(MIXED, 2)
+    pattern = frozenset({0, 1, 2})
+    expected = [list(row) for row in module.mult_crossing(pattern, 0)]
+    assert len(expected) == 1 and len(expected[0]) == 1 and expected[0][0] != 0
+    got = module.mult_crossing(pattern, 0)
+    got[0][0] += 7
+    got.append([Fraction(5)])
+    assert module.mult_crossing(pattern, 0) == expected
+
+
+def test_koszul_over_a_degree_range_builds_each_crossing_once(monkeypatch):
+    solves = []
+    built = Counter()
+    real_solve = weylact.solve_columns
+    real_build = LocalCohomologyModule._build_crossing
+
+    def counting_solve(columns, target):
+        solves.append(target)
+        return real_solve(columns, target)
+
+    def counting_build(self, pattern, v):
+        built[pattern, v] += 1
+        return real_build(self, pattern, v)
+
+    monkeypatch.setattr(weylact, "solve_columns", counting_solve)
+    monkeypatch.setattr(LocalCohomologyModule, "_build_crossing", counting_build)
+    module = LocalCohomologyModule(C7, 4)
+    koszul_homology_X(module, 0, -6)
+    after_first_degree = len(solves)
+    assert after_first_degree > 0
+    for n in range(-5, 7):  # 13 degrees in all
+        koszul_homology_X(module, 0, n)
+    assert len(solves) == after_first_degree
+    assert built and set(built.values()) == {1}
 
 
 # ---------------------------------------------------------------------------
