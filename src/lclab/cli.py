@@ -106,7 +106,10 @@ def _parse_monomial(text, context):
             match = _POSINT_RE.match(text, pos)
             if not match:
                 raise _MonomialError(pos, "expected a positive exponent after '^'")
-            exponent = int(match.group())
+            try:
+                exponent = int(match.group())
+            except ValueError:  # more digits than int() converts
+                raise _MonomialError(pos, "exponent has too many digits") from None
             pos = match.end()
             skip_ws()
         exps[v] += exponent
@@ -258,25 +261,34 @@ def _poly_human(poly):
 # ---------------------------------------------------------------------------
 
 _RANGE_RE = re.compile(r"(-?\d+)(?:\.\.(-?\d+))?$")
+MAX_DEGREES = 10_000  # most degrees one -n LO..HI may span
 
 
 def _parse_degrees(text):
     match = _RANGE_RE.fullmatch(text)
     if not match:
         raise CliError(2, f"bad degree {text!r} (use an integer or LO..HI)")
-    lo = int(match.group(1))
-    if match.group(2) is None:
-        return [lo]
-    hi = int(match.group(2))
+    try:
+        lo = int(match.group(1))
+        hi = lo if match.group(2) is None else int(match.group(2))
+    except ValueError:  # more digits than int() converts
+        raise CliError(2, "degree has too many digits") from None
     if lo > hi:
         raise CliError(2, f"empty degree range {text!r}")
+    if hi - lo >= MAX_DEGREES:
+        raise CliError(
+            2, f"degree range {text!r} spans {hi - lo + 1} degrees; at most {MAX_DEGREES} allowed"
+        )
     return list(range(lo, hi + 1))
 
 
 def _parse_strand(text, ctx):
     if not re.fullmatch(r"-?\d+(,-?\d+)*", text):
         raise CliError(2, f"bad strand {text!r} (comma-separated integers)")
-    strand = tuple(int(part) for part in text.split(","))
+    try:
+        strand = tuple(int(part) for part in text.split(","))
+    except ValueError:  # more digits than int() converts
+        raise CliError(2, "strand entry has too many digits") from None
     if len(strand) != ctx.d:
         raise CliError(2, f"strand needs {ctx.d} entries (one per degree-0 variable)")
     return strand

@@ -1,8 +1,11 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything in here is exact: matrices carry Python ints (arbitrary
-precision), ranks come from fraction-free Bareiss elimination, and the
-rational helpers use ``fractions.Fraction``.  No floating point anywhere.
+precision), and ranks, kernels and solves all come from one fraction-free
+echelon routine on integer rows (a forward pass, plus a back step where a
+basis is read off).  Rationals (``fractions.Fraction``) appear only in
+results: solve coefficients, rank of rational rows, and the binomial-basis
+polynomials.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -94,45 +97,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols}, {len(self.entries)} nonzero)"
-
-
-def rank(matrix):
-    """Rank of an ExactMatrix over the rationals.
-
-    Fraction-free (Bareiss) elimination: after each pivot step the
-    remaining entries are minors of the original matrix, so the division
-    by the previous pivot is exact and everything stays in Z.
-    """
-    if matrix.nrows == 0 or matrix.ncols == 0 or matrix.is_zero():
-        return 0
-    rows = [r for r in matrix.to_rows() if any(r)]
-    m, n = len(rows), matrix.ncols
-    r = 0
-    prev = 1
-    for c in range(n):
-        # find a pivot in column c at or below row r; skip exhausted columns
-        p = next((i for i in range(r, m) if rows[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-        piv_row = rows[r]
-        piv = piv_row[c]
-        for i in range(r + 1, m):
-            cur = rows[i]
-            t = cur[c]
-            if t:
-                for j in range(c + 1, n):
-                    cur[j] = (piv * cur[j] - t * piv_row[j]) // prev
-                cur[c] = 0
-            elif prev != 1 or piv != 1:
-                for j in range(c + 1, n):
-                    cur[j] = (piv * cur[j]) // prev
-        prev = piv
-        r += 1
-        if r == m:
-            break
-    return r
 
 
 class FiniteComplex:
@@ -295,9 +259,11 @@ class IntegerPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Explicit-basis helpers (kernel bases, spans, exact solving).  Kernels
-# are fraction-free; spans and solves work over Fraction, and ranks still
-# go through Bareiss above.
+# The elimination core.  Everything runs on Python ints: a row is cleared
+# by ``piv*row_i - t*row_r`` and then divided by its content, so every
+# row stays a nonzero multiple of the matching row over Q.  ``rank`` uses
+# the forward pass alone; kernels, solves and cycle representatives read
+# pivots (and, for a basis, the back step) off the same pass.
 # ---------------------------------------------------------------------------
 
 
@@ -307,98 +273,96 @@ def _primitive(row):
     return [v // g for v in row] if g > 1 else row
 
 
-def kernel_basis(matrix):
-    """Integer basis of the right kernel of an ExactMatrix.
+def _forward(rows):
+    """Fraction-free forward elimination of a list of integer rows.
 
-    Returned as a list of length-ncols int vectors, one per free column
-    in increasing order.  The reduced echelon form is computed
-    fraction-free: a row is cleared by ``piv*row_i - t*row_r`` and then
-    divided by its content.  Every row is a nonzero multiple of the
-    matching row of the RREF over Q, so the pivots are the same, and each
-    returned vector is the primitive one with a positive entry on its
-    free column: the same basis Gauss over Q gives.
+    Returns ``(echelon, pivots)``: the nonzero rows of a row-echelon form,
+    each primitive, and the pivot column of each.  A column is a pivot
+    column exactly when it is not in the span of the columns before it.
+    The input rows are not modified.
     """
-    m, n = matrix.nrows, matrix.ncols
-    rows = matrix.to_rows()
+    rows = [row for row in rows if any(row)]
+    m = len(rows)
     pivots = []
     r = 0
-    for c in range(n):
+    for c in range(len(rows[0]) if rows else 0):
+        if r == m:
+            break
         p = next((i for i in range(r, m) if rows[i][c]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
         piv_row = rows[r] = _primitive(rows[r])
         piv = piv_row[c]
-        for i in range(m):
+        for i in range(r + 1, m):
             t = rows[i][c]
-            if i != r and t:
+            if t:
                 rows[i] = _primitive([piv * a - t * b for a, b in zip(rows[i], piv_row)])
         pivots.append(c)
         r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
+    return rows[:r], pivots
+
+
+def _back(rows, pivots):
+    """Clear every pivot column above its pivot, in place.
+
+    Afterwards each row of ``_forward``'s echelon form is a primitive
+    multiple of the matching row of the reduced echelon form over Q.
+    """
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
+        piv_row = rows[r]
+        piv = piv_row[c]
+        for i in range(r):
+            t = rows[i][c]
+            if t:
+                rows[i] = _primitive([piv * a - t * b for a, b in zip(rows[i], piv_row)])
+    return rows
+
+
+def rank(matrix):
+    """Rank of an ExactMatrix over the rationals: the pivot count of the
+    fraction-free forward pass (no back elimination)."""
+    return len(_forward(matrix.to_rows())[1])
+
+
+def pivot_columns(columns):
+    """Indices j, in increasing order, of the integer columns that are not
+    in the span of the columns before them."""
+    return _forward(list(zip(*columns)))[1]
+
+
+def kernel_basis(matrix):
+    """Integer basis of the right kernel of an ExactMatrix.
+
+    Returned as a list of length-ncols int vectors, one per free column
+    in increasing order.  Each row of the reduced echelon form is a
+    nonzero multiple of the matching row over Q, so each returned vector
+    is the primitive one with a positive entry on its free column: the
+    same basis Gauss over Q gives.
+    """
+    n = matrix.ncols
+    rows, pivots = _forward(matrix.to_rows())
+    _back(rows, pivots)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        # vec[pc] = -rows[i][fc] / rows[i][pc], scaled by the lcm of the pivots used
-        used = [(i, pc) for i, pc in enumerate(pivots) if rows[i][fc]]
-        scale = math.lcm(*(rows[i][pc] for i, pc in used))
+    for fc in (c for c in range(n) if c not in pivot_set):
+        # vec[pc] = -row[fc] / row[pc], scaled by the lcm of the pivots used
+        used = [(row, pc) for row, pc in zip(rows, pivots) if row[fc]]
+        scale = math.lcm(*(row[pc] for row, pc in used))
         vec = [0] * n
         vec[fc] = scale
-        for i, pc in used:
-            vec[pc] = -rows[i][fc] * (scale // rows[i][pc])
+        for row, pc in used:
+            vec[pc] = -row[fc] * (scale // row[pc])
         basis.append(_primitive(vec))
     return basis
-
-
-class Subspace:
-    """A growing subspace of Q^n kept in reduced row-echelon form."""
-
-    __slots__ = ("n", "rows", "pivots")
-
-    def __init__(self, n):
-        self.n = n
-        self.rows = []
-        self.pivots = []
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def reduce(self, vec):
-        """Residue of vec modulo the subspace (None-free; returns a new list)."""
-        vec = [Fraction(v) for v in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if vec[p]:
-                f = vec[p]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return vec
-
-    def contains(self, vec):
-        return not any(self.reduce(vec))
-
-    def add(self, vec):
-        """Add vec to the span; True if the dimension grew."""
-        res = self.reduce(vec)
-        p = next((j for j, v in enumerate(res) if v), None)
-        if p is None:
-            return False
-        piv = res[p]
-        res = [v / piv for v in res]
-        for i, row in enumerate(self.rows):
-            if row[p]:
-                f = row[p]
-                self.rows[i] = [a - f * b for a, b in zip(row, res)]
-        self.rows.append(res)
-        self.pivots.append(p)
-        return True
 
 
 def rank_fraction_rows(rows):
     """Rank of a matrix given as rows of Fractions (or ints).
 
     Each row is scaled by its denominator lcm — this changes nothing about
-    the row space — and the integer rank is taken by Bareiss.
+    the row space — and the integer rank is taken by ``rank``.
     """
     scaled = []
     for row in rows:
@@ -412,34 +376,19 @@ def rank_fraction_rows(rows):
 
 
 def solve_columns(columns, target):
-    """Solve sum_j x_j * columns[j] == target exactly over Q.
+    """Solve sum_j x_j * columns[j] == target for integer columns and target.
 
-    Returns the coefficient list, or None if the system is inconsistent.
-    Columns must be linearly independent for the answer to be unique.
+    Returns the coefficients as Fractions (zero on every column that is
+    not a pivot column), or None if the system is inconsistent.  Columns
+    must be linearly independent for the answer to be unique.
     """
-    n = len(target)
     k = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    r = 0
-    piv_of_col = {}
-    for c in range(k):
-        p = next((i for i in range(r, n) if aug[i][c]), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        piv = aug[r][c]
-        aug[r] = [v / piv for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_of_col[c] = r
-        r += 1
-    # inconsistent if a zero row has nonzero rhs
-    for i in range(r, n):
-        if aug[i][k]:
-            return None
+    aug = [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
+    rows, pivots = _forward(aug)
+    if pivots and pivots[-1] == k:
+        return None
+    _back(rows, pivots)
     sol = [Fraction(0)] * k
-    for c, i in piv_of_col.items():
-        sol[c] = aug[i][k]
+    for row, c in zip(rows, pivots):
+        sol[c] = Fraction(row[k], row[c])
     return sol

@@ -834,8 +834,11 @@ def run_golden_case(case):
         if got != set(expected):
             ok = False
             hits.append({"kind": "min-primes", "i": i, "n": n, "got": sorted(got)})
+    modules = {}  # one per index, so its crossings carry across degrees
     for (i, kind, v, n), expected in sorted(case.koszul.items()):
-        module = LocalCohomologyModule(ideal, i)
+        if i not in modules:
+            modules[i] = LocalCohomologyModule(ideal, i)
+        module = modules[i]
         homology = koszul_homology_X if kind == "mult" else derham_homology
         got = homology(module, v, n)
         if got != expected:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exactlin import Subspace, kernel_basis, rank_fraction_rows, solve_columns
+from .exactlin import kernel_basis, pivot_columns, rank_fraction_rows, solve_columns
 from .monocech import (
     DimValue,
     cohomology_profile,
@@ -259,10 +259,10 @@ class LocalCohomologyModule(PatternModulePresentation):
             d_prev = complex_.diffs[i - 1].to_rows()
             for j in range(complex_.diffs[i - 1].ncols):
                 boundary_cols.append([row[j] for row in d_prev])
-        span = Subspace(c_i)
-        for col in boundary_cols:
-            span.add(col)
-        reps = [z for z in cycles if span.add(z)]
+        # a cycle is a new class exactly when it is outside the span of
+        # the boundaries and the cycles before it
+        nb = len(boundary_cols)
+        reps = [cycles[p - nb] for p in pivot_columns(boundary_cols + cycles) if p >= nb]
         if len(reps) != self.pattern_dim(pattern):
             raise AssertionError(
                 f"cohomology basis size {len(reps)} disagrees with rank count "

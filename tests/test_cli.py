@@ -1,14 +1,19 @@
 """Spec parsing, subcommand output, exit codes, and JSON stability."""
 
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lclab
-from lclab.cli import CliError, emit_spec, main, parse_spec
+from lclab.cli import MAX_DEGREES, CliError, emit_spec, main, parse_spec
 from lclab.monocech import normalize
 from lclab.verify import VerificationReport
 
@@ -245,6 +250,34 @@ def test_bad_degree_flags(capsys):
     assert code == 2 and "bad degree" in err
 
 
+def test_huge_degree_ranges_exit_two(capsys):
+    for command in (("dim",), ("support",), ("koszul", "--var", "X1", "--kind", "mult")):
+        argv = (command[0], MAXX2_SPEC, "-i", "2", "-n", "0..1000000000000", *command[1:])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "spans 1000000000001 degrees" in err and "Traceback" not in err
+    code, _, _ = run_cli(capsys, "dim", MAXX2_SPEC, "-i", "2", "-n", f"1..{MAX_DEGREES}")
+    assert code == 0
+    code, _, err = run_cli(capsys, "dim", MAXX2_SPEC, "-i", "2", "-n", f"0..{MAX_DEGREES}")
+    assert code == 2 and f"at most {MAX_DEGREES}" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter has no int() digit limit"
+)
+def test_numbers_beyond_int_conversion_exit_two(capsys, tmp_path):
+    digits = "1" + "0" * 5000  # longer than int() converts from a string
+    code, _, err = run_cli(capsys, "dim", MAXX2_SPEC, "-i", "2", "-n", digits)
+    assert code == 2 and "too many digits" in err
+    yplane = str(CASES / "y-plane.json")
+    code, _, err = run_cli(capsys, "dim", yplane, "-i", "1", "-n", "0", "--strand", digits)
+    assert code == 2 and "too many digits" in err
+    spec = {"deg0_vars": [], "deg1_vars": ["X1"], "generators": [f"X1^{digits}"]}
+    path = write_spec(tmp_path, json.dumps(spec))
+    code, _, err = run_cli(capsys, "pattern", path, "--all")
+    assert code == 2 and "exponent has too many digits" in err
+
+
 def test_hilbert_matches_worked_example(capsys):
     code, out, _ = run_cli(capsys, "hilbert", MAXX2_SPEC, "-i", "2")
     assert code == 0
@@ -404,3 +437,89 @@ def test_negative_short_flag_values_are_absorbed(capsys):
     code, out, _ = run_cli(capsys, "dim", MAXX2_SPEC, "-i", "2", "-n", "-3..-2")
     assert code == 0
     assert "n=-3: 2" in out and "n=-2: 1" in out
+
+
+# ---------------------------------------------------------------------------
+# fuzzing main(argv)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def spec_texts(draw):
+    """Small spec texts (at most 4 variables, 4 generators); about one in
+    three is broken on purpose."""
+    deg1 = draw(st.lists(st.sampled_from(["X1", "X2", "X3"]), min_size=1, max_size=3, unique=True))
+    deg0 = draw(st.lists(st.sampled_from(["Y1", "Y2"]), max_size=4 - len(deg1), unique=True))
+    factor = st.tuples(st.sampled_from(deg0 + deg1), st.sampled_from(["", "", "^2", "^3"]))
+    monomial = st.lists(factor, min_size=1, max_size=3).map(
+        lambda fs: " * ".join(n + e for n, e in fs)
+    )
+    generators = draw(st.lists(monomial, min_size=1, max_size=4))
+    doc = {"deg0_vars": deg0, "deg1_vars": deg1, "generators": generators}
+    damages = ["drop", "extra", "retype", "name", "monomial", "truncate"]
+    damage = draw(st.sampled_from(["none"] * 12 + damages))
+    if damage == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif damage == "extra":
+        doc["deg2_vars"] = []
+    elif damage == "retype":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(st.sampled_from([None, 3, "X1", [1], []]))
+    elif damage == "name":
+        doc["deg0_vars"] = doc["deg0_vars"] + [draw(st.sampled_from(["X1", "1Y", ""]))]
+    elif damage == "monomial":
+        bad = ["", "Z9", "X1^0", "X1^", "X1 *", "1", "X1**X1"]
+        doc["generators"][0] = draw(st.sampled_from(bad))
+    text = json.dumps(doc)
+    if damage == "truncate":
+        text = text[: draw(st.integers(min_value=0, max_value=len(text) - 1))]
+    return text, deg0, deg1
+
+
+DEGREE_VALUE = st.integers(min_value=-6, max_value=6).map(str)
+DEGREE_RANGE = st.tuples(
+    st.integers(min_value=-6, max_value=6), st.integers(min_value=0, max_value=6)
+).map(lambda t: f"{t[0]}..{t[0] + t[1]}")
+DEGREE_JUNK = st.sampled_from(["x", "1..", "3..2", "0..1000000000000"])
+DEGREES = st.one_of(DEGREE_VALUE, DEGREE_RANGE, DEGREE_RANGE, DEGREE_JUNK)
+
+
+@st.composite
+def argvs(draw, spec, deg0, deg1):
+    command = draw(st.sampled_from(["pattern", "dim", "hilbert", "support", "koszul", "verify"]))
+    argv = [command, spec]
+    index = ["-i", str(draw(st.integers(min_value=-2, max_value=6)))]
+    if command == "pattern":
+        argv += draw(st.sampled_from([["--all"], index]))
+    elif command in ("dim", "hilbert", "support", "koszul"):
+        argv += index
+    if command in ("dim", "support", "koszul"):
+        argv += ["-n", draw(DEGREES)]
+    if command == "dim" and (deg0 or draw(st.integers(min_value=0, max_value=4)) == 0):
+        size = draw(st.sampled_from([len(deg0)] * 4 + [0, 1, 3]))
+        entry = st.integers(min_value=-3, max_value=3)
+        strand = draw(st.lists(entry, min_size=size, max_size=size))
+        argv += ["--strand", ",".join(map(str, strand)) or "x"]
+    if command == "koszul":
+        argv += ["--var", draw(st.sampled_from(deg0 + deg1 + ["Q"]))]
+        argv += ["--kind", draw(st.sampled_from(["mult", "derham"]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_main_exits_cleanly_on_fuzzed_specs_and_flags(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = pathlib.Path(tmp) / "spec.json"
+        text, deg0, deg1 = data.draw(spec_texts(), label="spec")
+        spec.write_text(text)
+        argv = data.draw(argvs(str(spec), deg0, deg1), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -10,7 +10,6 @@ from lclab.exactlin import (
     ExactMatrix,
     FiniteComplex,
     IntegerPolynomial,
-    Subspace,
     binom_ext,
     cohomology_dims,
     kernel_basis,
@@ -55,6 +54,33 @@ def gauss_kernel(matrix):
         g = math.gcd(*ints)
         basis.append([v // g for v in ints])
     return basis
+
+
+def gauss_solve(columns, target):
+    """Reference solve: Gauss–Jordan over Fraction on the augmented
+    matrix, free coefficients set to zero; None when inconsistent."""
+    n, k = len(target), len(columns)
+    aug = [[Fraction(col[i]) for col in columns] + [Fraction(target[i])] for i in range(n)]
+    r = 0
+    piv_of_col = {}
+    for c in range(k):
+        p = next((i for i in range(r, n) if aug[i][c]), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        aug[r] = [v / aug[r][c] for v in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        piv_of_col[c] = r
+        r += 1
+    if any(aug[i][k] for i in range(r, n)):
+        return None
+    sol = [Fraction(0)] * k
+    for c, i in piv_of_col.items():
+        sol[c] = aug[i][k]
+    return sol
 
 
 def gauss_rank(rows):
@@ -281,22 +307,59 @@ def test_kernel_basis_edge_shapes():
     assert kernel_basis(ExactMatrix.from_rows([[-3, 2], [6, -4]])) == [[2, 3]]
 
 
-def test_subspace_incremental_span():
-    s = Subspace(3)
-    assert s.add([1, 0, 1])
-    assert s.add([0, 1, 0])
-    assert not s.add([2, 3, 2])  # 2*(1,0,1) + 3*(0,1,0)
-    assert s.dim == 2
-    assert s.contains([Fraction(1, 2), 0, Fraction(1, 2)])
-    assert not s.contains([0, 0, 1])
-
-
 def test_solve_columns_round_trip():
     cols = [[1, 0, 2], [0, 1, 1]]
     target = [3, -1, 5]  # 3*c0 - 1*c1
     sol = solve_columns(cols, target)
     assert sol == [3, -1]
     assert solve_columns(cols, [0, 0, 1]) is None
+
+
+@st.composite
+def solve_systems(draw):
+    """Columns with zero and dependent ones mixed in, and a target that is
+    either in their span or an arbitrary (often inconsistent) vector."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    vec = st.lists(small_ints, min_size=n, max_size=n)
+    columns = draw(st.lists(vec, max_size=5))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        kind = draw(st.sampled_from(["zero", "combo"]))
+        if kind == "zero" or not columns:
+            extra = [0] * n
+        else:
+            a, b = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+            s, t = draw(small_ints), draw(small_ints)
+            extra = [s * x + t * y for x, y in zip(a, b)]
+        columns.insert(draw(st.integers(min_value=0, max_value=len(columns))), extra)
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(small_ints, min_size=len(columns), max_size=len(columns)))
+        target = [sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(n)]
+    else:
+        target = draw(vec)
+    return columns, target
+
+
+@settings(max_examples=400)
+@given(solve_systems())
+def test_solve_columns_matches_fraction_gauss(system):
+    columns, target = system
+    expected = gauss_solve(columns, target)
+    got = solve_columns(columns, target)
+    assert got == expected
+    if got is not None:
+        assert all(isinstance(x, Fraction) for x in got)
+        for i, t in enumerate(target):
+            assert sum(x * col[i] for x, col in zip(got, columns)) == t
+
+
+def test_solve_columns_edge_shapes():
+    assert solve_columns([], []) == []
+    assert solve_columns([], [0, 0]) == []
+    assert solve_columns([], [0, 1]) is None
+    assert solve_columns([[], []], []) == [0, 0]
+    # a zero column and a repeated column get coefficient zero
+    assert solve_columns([[0, 0], [2, 4], [2, 4]], [3, 6]) == [0, Fraction(3, 2), 0]
+    assert solve_columns([[2, 4]], [3, 5]) is None
 
 
 def test_rank_fraction_rows_matches_int_rank():

@@ -1,19 +1,22 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lclab import weylact
+from lclab.exactlin import kernel_basis
 from lclab.monocech import (
     INFINITE,
     DimValue,
     MonomialIdeal,
     VariableContext,
     cohomology_profile,
+    slice_complex,
 )
-from lclab.verify import random_battery
+from lclab.verify import exhaustive_ideals, random_battery
 from lclab.weylact import (
     KoszulConvention,
     LocalCohomologyModule,
@@ -69,6 +72,35 @@ def matmul(a, b, out_cols):
     ]
 
 
+def greedy_reps(boundary_cols, cycles):
+    """Reference cycle representatives: grow a span over Fraction, kept in
+    reduced row-echelon form, by the boundaries and then the cycles, and
+    keep each cycle that makes it grow."""
+    rows, pivots = [], []
+
+    def add(vec):
+        res = [Fraction(v) for v in vec]
+        for row, p in zip(rows, pivots):
+            if res[p]:
+                f = res[p]
+                res = [a - f * b for a, b in zip(res, row)]
+        p = next((j for j, v in enumerate(res) if v), None)
+        if p is None:
+            return False
+        res = [v / res[p] for v in res]
+        for t, row in enumerate(rows):
+            if row[p]:
+                f = row[p]
+                rows[t] = [a - f * b for a, b in zip(row, res)]
+        rows.append(res)
+        pivots.append(p)
+        return True
+
+    for col in boundary_cols:
+        add(col)
+    return [z for z in cycles if add(z)]
+
+
 # ---------------------------------------------------------------------------
 # presentations
 # ---------------------------------------------------------------------------
@@ -90,6 +122,27 @@ def test_cohomology_module_dims_match_profile():
     for pattern in prof.patterns():
         assert mod.pattern_dim(pattern) == prof.h(pattern, 2)
     assert mod.pattern_dim(frozenset({2})) == 0
+
+
+def test_slice_reps_match_greedy_span_selection():
+    checked = with_boundaries = 0
+    for ideal in exhaustive_ideals(3):
+        nvars = ideal.context.nvars
+        for i in range(len(ideal.generators) + 2):
+            module = LocalCohomologyModule(ideal, i)
+            for r in range(nvars + 1):
+                for pattern in map(frozenset, combinations(range(nvars), r)):
+                    diffs = slice_complex(module.ideal, pattern).diffs
+                    data = module._slice_data(pattern)
+                    c_i = len(data.level_basis)
+                    if i < len(diffs):
+                        cycles = kernel_basis(diffs[i])
+                    else:
+                        cycles = [[int(t == s) for t in range(c_i)] for s in range(c_i)]
+                    assert data.reps == greedy_reps(data.boundary_cols, cycles), (ideal, i, pattern)
+                    checked += 1
+                    with_boundaries += bool(data.reps and data.boundary_cols)
+    assert (checked, with_boundaries) == (1718, 9)
 
 
 def test_transition_identity_off_the_wall():
