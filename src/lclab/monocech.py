@@ -115,9 +115,11 @@ class MonomialIdeal:
 
     Exponents are kept as written (for display and for the brute-force
     oracle); everything cohomological only reads the squarefree supports.
+    The normal form is kept on the ideal once ``normalize`` has computed
+    it; the ideal is immutable, so it never goes stale.
     """
 
-    __slots__ = ("context", "generators", "_supports")
+    __slots__ = ("context", "generators", "_supports", "_normal")
 
     def __init__(self, context, generators):
         generators = tuple(tuple(int(e) for e in g) for g in generators)
@@ -135,6 +137,7 @@ class MonomialIdeal:
         self._supports = tuple(
             frozenset(v for v, e in enumerate(g) if e > 0) for g in generators
         )
+        self._normal = None
 
     @property
     def supports(self):
@@ -193,16 +196,23 @@ def normalize(ideal):
     Torsion cohomology only depends on the radical, and a generator whose
     support contains another's is redundant after taking radicals; the
     brute-force oracle independently tests that pruning changes nothing.
+    The result is computed once per ideal and kept on it; an ideal that
+    is already in normal form is its own normal form.
     """
+    if ideal._normal is not None:
+        return ideal._normal
     supports = set(ideal.supports)
     kept = sorted(
         (s for s in supports if not any(t < s for t in supports)),
         key=lambda s: (len(s), sorted(s)),
     )
-    gens = [
+    gens = tuple(
         tuple(1 if v in s else 0 for v in range(ideal.context.nvars)) for s in kept
-    ]
-    return MonomialIdeal(ideal.context, gens)
+    )
+    normal = ideal if gens == ideal.generators else MonomialIdeal(ideal.context, gens)
+    normal._normal = normal
+    ideal._normal = normal
+    return normal
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +299,32 @@ def slice_basis(ideal, pattern):
 
 
 class CohomologyProfile:
-    """Map from sign patterns to slice cohomology rank vectors (h^0..h^g).
+    """The per-ideal analysis object: slice cohomology rank vectors
+    (h^0..h^g) by sign pattern, with the sorted patterns and each index's
+    contributors computed once, as tuples, for every query to read.
 
     Only patterns with some nonzero rank are stored; everything else is
     zero, including every pattern containing a variable outside all
     generator supports.
     """
 
-    __slots__ = ("ideal", "gen_count", "by_pattern")
+    __slots__ = ("ideal", "gen_count", "by_pattern", "_patterns", "_contributors")
 
     def __init__(self, ideal, gen_count, by_pattern):
         self.ideal = ideal
         self.gen_count = gen_count
         self.by_pattern = dict(by_pattern)
+        self._patterns = tuple(sorted(self.by_pattern, key=lambda s: (len(s), sorted(s))))
+        x_vars = ideal.context.x_indices
+        width = max(map(len, self.by_pattern.values()), default=0)
+        self._contributors = tuple(
+            tuple(
+                Contributor(pattern, self.by_pattern[pattern][i], len(pattern & x_vars))
+                for pattern in self._patterns
+                if self.h(pattern, i)
+            )
+            for i in range(width)
+        )
 
     def h(self, pattern, i):
         dims = self.by_pattern.get(frozenset(pattern))
@@ -310,17 +333,11 @@ class CohomologyProfile:
         return dims[i]
 
     def patterns(self):
-        return sorted(self.by_pattern, key=lambda s: (len(s), sorted(s)))
+        return self._patterns
 
     def contributors(self, i):
         """All (pattern, rank, k) with h^i ≠ 0, k = the degree-1 part size."""
-        x_vars = self.ideal.context.x_indices
-        out = []
-        for pattern in self.patterns():
-            h = self.h(pattern, i)
-            if h:
-                out.append(Contributor(pattern, h, len(pattern & x_vars)))
-        return out
+        return self._contributors[i] if 0 <= i < len(self._contributors) else ()
 
     def __repr__(self):
         return f"CohomologyProfile({self.ideal!r}, {len(self.by_pattern)} patterns)"
@@ -502,7 +519,7 @@ def pattern_report(ideal, i):
     """
     ideal = normalize(ideal)
     m = ideal.context.m
-    contributors = tuple(cohomology_profile(ideal).contributors(i))
+    contributors = cohomology_profile(ideal).contributors(i)
     has_nonneg = any(c.k == 0 for c in contributors)
     has_negtail = any(c.k == m for c in contributors)
     has_mixed = any(0 < c.k < m for c in contributors)

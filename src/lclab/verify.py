@@ -3,7 +3,11 @@
 The oracle rebuilds the covering complex at one multidegree at a time,
 deciding which localizations are nonzero there by explicit divisibility
 witnesses — deliberately not by the sign-pattern rule — so agreement
-with the pattern engine is a genuine two-route check.  On top of it sit
+with the pattern engine is a genuine two-route check.  Every point of
+the box is evaluated and every generator subset gets its least witness
+there; the loop is plain early-exit code over the negative coordinates
+of each multidegree, and nothing is carried between points except the
+rank cache keyed by the alive family.  On top of it sit
 a battery of named structural checks and a built-in corpus of worked
 examples with frozen expectations.
 """
@@ -68,20 +72,33 @@ def _mask_exponent_sums(generators):
 
 def _alive_by_divisibility(mask_sums, alpha):
     """Subsets whose localization is nonzero at α, decided by an explicit
-    witness exponent: the least t ≥ 0 with α + t·e componentwise ≥ 0."""
-    alive = set()
+    witness exponent.
+
+    For the product monomial x^e of a subset, the localization at x^e is
+    nonzero at α exactly when some power x^{t·e} lifts α into the
+    nonnegative orthant.  The least such t is the largest ceil(−α_v / e_v)
+    over the negative coordinates of α, read off the raw exponents as
+    written; a zero exponent on a negative coordinate means no power
+    helps and the subset is dead.  The subset is alive when α + t·e ≥ 0
+    holds on every coordinate.
+    """
+    negative = [(v, a) for v, a in enumerate(alpha) if a < 0]
+    alive = []
     for mask, e in enumerate(mask_sums):
         t = 0
-        for a, ev in zip(alpha, e):
-            if a < 0:
-                if ev == 0:
-                    t = None
+        for v, a in negative:
+            ev = e[v]
+            if ev == 0:
+                break
+            need = (ev - a - 1) // ev  # ceil(-a / ev)
+            if need > t:
+                t = need
+        else:
+            for a, ev in zip(alpha, e):
+                if a + t * ev < 0:
                     break
-                t = max(t, (-a + ev - 1) // ev)  # ceil(-a / ev)
-        if t is None:
-            continue
-        if all(a + t * ev >= 0 for a, ev in zip(alpha, e)):
-            alive.add(mask)
+            else:
+                alive.append(mask)
     return frozenset(alive)
 
 

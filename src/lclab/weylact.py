@@ -103,6 +103,7 @@ class PatternModulePresentation:
 
     def __init__(self, context):
         self.context = context
+        self._euler = None  # (α, Euler matrix) of the last α checked
 
     def pattern_dim(self, pattern):
         raise NotImplementedError
@@ -118,6 +119,10 @@ class PatternModulePresentation:
         pattern ∖ {v}; rows of exact rationals.
         """
         raise NotImplementedError
+
+    def crossing_rank(self, pattern, v):
+        """Rank of mult_crossing(pattern, v)."""
+        return rank_fraction_rows(self.mult_crossing(pattern, v))
 
     def piece_dim(self, alpha):
         return self.pattern_dim(self.context.sign_pattern(alpha))
@@ -218,9 +223,10 @@ class LocalCohomologyModule(PatternModulePresentation):
     re-expressing it modulo boundaries in the target basis.
 
     A crossing depends only on (pattern, v), not on the degree, so each is
-    built once and kept on the module next to the per-pattern slice data;
-    every query over a degree range reads the same matrices.  Callers get
-    a fresh copy of the rows.
+    built once and kept on the module next to the per-pattern slice data,
+    and so is its rank once a homology query has asked for it; every query
+    over a degree range reads the same matrices and ranks.  Callers get a
+    fresh copy of the rows.
     """
 
     def __init__(self, ideal, i):
@@ -233,6 +239,7 @@ class LocalCohomologyModule(PatternModulePresentation):
         self.profile = cohomology_profile(ideal)
         self._data = {}
         self._crossings = {}
+        self._ranks = {}
 
     def pattern_dim(self, pattern):
         return self.profile.h(pattern, self.i)
@@ -281,6 +288,13 @@ class LocalCohomologyModule(PatternModulePresentation):
             rows = self._crossings[pattern, v] = self._build_crossing(pattern, v)
         return [list(row) for row in rows]
 
+    def crossing_rank(self, pattern, v):
+        pattern = frozenset(pattern)
+        rank = self._ranks.get((pattern, v))
+        if rank is None:
+            rank = self._ranks[pattern, v] = super().crossing_rank(pattern, v)
+        return rank
+
     def _build_crossing(self, pattern, v):
         target = pattern - {v}
         src_dim = self.pattern_dim(pattern)
@@ -318,6 +332,8 @@ class LocalCohomologyModule(PatternModulePresentation):
 
 
 def _euler_matrix(module, alpha):
+    """Σ X_v ∂_v on piece(α), as the product of the derivative and the
+    multiplication back along each degree-1 variable."""
     ctx = module.context
     dim = module.piece_dim(alpha)
     total = _zero_rows(dim, dim)
@@ -327,6 +343,15 @@ def _euler_matrix(module, alpha):
         back = module.transition(alpha_down, v)
         total = _mat_add(total, _matmul(back, down, dim))
     return total
+
+
+def _euler_action(module, alpha):
+    """The Euler matrix at α, built once for the checks that read it in a
+    row (euler_eigencheck, then gen_eulerian_exponent) and kept on the
+    module until another α is asked for."""
+    if module._euler is None or module._euler[0] != alpha:
+        module._euler = (alpha, _euler_matrix(module, alpha))
+    return module._euler[1]
 
 
 def euler_eigencheck(module, alpha):
@@ -341,7 +366,7 @@ def euler_eigencheck(module, alpha):
         raise ValueError("piece is zero; no eigenvalue to check")
     coarse = module.context.coarse_degree(alpha)
     expected = _scaled_identity(dim, coarse)
-    if _euler_matrix(module, alpha) != expected:
+    if _euler_action(module, alpha) != expected:
         raise NotEulerianError(f"Euler action at {alpha} is not the scalar {coarse}")
     return coarse
 
@@ -357,7 +382,7 @@ def gen_eulerian_exponent(module, alpha):
     if dim == 0:
         raise ValueError("piece is zero")
     coarse = module.context.coarse_degree(alpha)
-    defect = _mat_add(_euler_matrix(module, alpha), _scaled_identity(dim, -coarse))
+    defect = _mat_add(_euler_action(module, alpha), _scaled_identity(dim, -coarse))
     power = defect
     a = 1
     while any(any(row) for row in power):
@@ -371,10 +396,6 @@ def gen_eulerian_exponent(module, alpha):
 # ---------------------------------------------------------------------------
 # one-variable Koszul and de Rham homology
 # ---------------------------------------------------------------------------
-
-
-def _crossing_rank(module, pattern, v):
-    return rank_fraction_rows(module.mult_crossing(pattern, v))
 
 
 def _remaining_count(ctx, v, pattern, n):
@@ -400,11 +421,11 @@ def koszul_contributions(module, v, n):
     for pattern in module.patterns():
         dim = module.pattern_dim(pattern)
         if v in pattern:
-            ker = dim - _crossing_rank(module, pattern, v)
+            ker = dim - module.crossing_rank(pattern, v)
             if ker:
                 yield "H1", pattern, ker, _remaining_count(ctx, v, pattern - {v}, n)
         else:
-            coker = dim - _crossing_rank(module, pattern | {v}, v)
+            coker = dim - module.crossing_rank(pattern | {v}, v)
             if coker:
                 yield "H0", pattern, coker, _remaining_count(ctx, v, pattern, n)
 

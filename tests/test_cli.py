@@ -1,6 +1,7 @@
 """Spec parsing, subcommand output, exit codes, and JSON stability."""
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -430,6 +431,23 @@ def test_json_output_is_byte_stable(capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+# SHA-256 of stdout captured at commit 586f0b4, before the oracle loop, the
+# normal form and the Euler check were made faster; speed-ups keep every byte
+VERIFY_DIGESTS = {
+    ("verify", "--random", "50", "--seed", "3", "--json"):
+        "c0fd73dcd640d5ce14877df05219df9f4d7f34c36334a39bbe6a5089ff9f9a38",
+    ("verify", "--corpus", "--json"):
+        "203f626ba142891e516fd9ebc741558b6a570bc68f709d2b56e5c5109069869b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_DIGESTS), ids=["corpus", "random-50-seed-3"])
+def test_verify_json_is_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[argv]
 
 
 def test_negative_short_flag_values_are_absorbed(capsys):

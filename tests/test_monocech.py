@@ -165,6 +165,72 @@ def test_profile_cache_is_bounded():
 
 
 # ---------------------------------------------------------------------------
+# the per-ideal analysis object: normal form and contributors computed once
+# ---------------------------------------------------------------------------
+
+
+def _fresh_patterns_and_contributors(ideal, i):
+    """Patterns and index-i contributors of an uncached profile, read off
+    its rank table directly."""
+    prof = _profile_normalized.__wrapped__(normalize(ideal))
+    x_vars = ideal.context.x_indices
+    patterns = sorted(prof.by_pattern, key=lambda s: (len(s), sorted(s)))
+    contributors = []
+    for pattern in patterns:
+        dims = prof.by_pattern[pattern]
+        if 0 <= i < len(dims) and dims[i]:
+            contributors.append((pattern, dims[i], len(pattern & x_vars)))
+    return patterns, contributors
+
+
+def _try_to_mutate(container):
+    for attempt in (
+        lambda: container.append(None),
+        lambda: container.clear(),
+        lambda: container.__setitem__(0, None),
+    ):
+        try:
+            attempt()
+        except (AttributeError, TypeError, IndexError):
+            pass
+
+
+@pytest.mark.parametrize(
+    "ideals",
+    [lambda: exhaustive_ideals(3), lambda: random_battery(count=30, seed=5)],
+    ids=["exhaustive-3", "battery-5"],
+)
+def test_cached_contributors_match_a_fresh_computation(ideals):
+    for ideal in ideals():
+        prof = cohomology_profile(ideal)
+        g = len(normalize(ideal).supports)
+        for i in range(-1, g + 2):
+            patterns, contributors = _fresh_patterns_and_contributors(ideal, i)
+            assert list(prof.patterns()) == patterns, ideal
+            got = prof.contributors(i)
+            assert [(c.pattern, c.rank, c.k) for c in got] == contributors, (ideal, i)
+            _try_to_mutate(got)
+            _try_to_mutate(prof.patterns())
+            assert [tuple(c) for c in cohomology_profile(ideal).contributors(i)] == contributors
+            assert list(cohomology_profile(ideal).patterns()) == patterns
+
+
+def test_normal_form_is_computed_once_per_ideal():
+    gens = [(2, 1, 0), (1, 0, 3), (3, 3, 3)]
+    first, second = MonomialIdeal(CTX_MIXED, gens), MonomialIdeal(CTX_MIXED, gens)
+    assert first == second and first is not second
+    assert normalize(first) == normalize(second)
+    # kept on each ideal, not in a shared cache
+    assert normalize(first) is normalize(first)
+    assert normalize(first) is not normalize(second)
+    norm = normalize(first)
+    assert norm.generators == ((1, 1, 0), (1, 0, 1))
+    assert normalize(norm) is norm
+    # an ideal already in normal form is its own normal form
+    assert normalize(MIXED) is MIXED
+
+
+# ---------------------------------------------------------------------------
 # link-complex engine against the generator-side slice complex
 # ---------------------------------------------------------------------------
 

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lclab import verify
-from lclab.monocech import DimValue, MonomialIdeal, PatternShape, VariableContext
+from lclab.monocech import (
+    CohomologyProfile,
+    DimValue,
+    MonomialIdeal,
+    PatternShape,
+    VariableContext,
+)
 from lclab.verify import (
     CheckResult,
     VerificationReport,
@@ -82,6 +88,55 @@ def test_oracle_compare_passes_on_raw_nonreduced_input():
 @given(st.integers(0, 10_000), st.integers(0, 2), st.integers(1, 2), st.integers(1, 3))
 def test_oracle_matches_engine_on_random_ideals(seed, d, m, gens):
     assert oracle_compare(random_ideal(seed, d, m, gens)).passed
+
+
+@st.composite
+def raw_exponents_and_alpha(draw):
+    nvars = draw(st.integers(1, 4))
+    vectors = st.lists(st.integers(0, 4), min_size=nvars, max_size=nvars).filter(any)
+    generators = draw(st.lists(vectors, min_size=1, max_size=4))
+    alpha = draw(st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars))
+    return generators, tuple(alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_exponents_and_alpha())
+def test_alive_by_divisibility_matches_witness_search(case):
+    generators, alpha = case
+    mask_sums = verify._mask_exponent_sums(generators)
+    bound = max(abs(a) for a in alpha)
+    expected = frozenset(
+        mask
+        for mask, e in enumerate(mask_sums)
+        if any(
+            all(a + t * ev >= 0 for a, ev in zip(alpha, e)) for t in range(bound + 1)
+        )
+    )
+    assert verify._alive_by_divisibility(mask_sums, alpha) == expected
+
+
+def test_oracle_compare_reports_a_rank_off_by_one(monkeypatch):
+    real = verify.cohomology_profile(MIXED)
+    pattern, dims = next(iter(real.by_pattern.items()))
+    i = next(t for t, h in enumerate(dims) if h)
+    broken = CohomologyProfile(
+        real.ideal,
+        real.gen_count,
+        {**real.by_pattern, pattern: dims[:i] + (dims[i] + 1,) + dims[i + 1 :]},
+    )
+    monkeypatch.setattr(verify, "cohomology_profile", lambda ideal: broken)
+    report = oracle_compare(MIXED)
+    [result] = report.results
+    assert result.name == "oracle-box" and result.status == "fail"
+    witness = result.witness
+    assert MIXED.context.sign_pattern(witness["alpha"]) == pattern
+    assert witness["i"] == i
+    assert (witness["oracle"], witness["engine"]) == (dims[i], dims[i] + 1)
+    # every box point with the broken pattern disagrees once, at index i
+    points = 1
+    for v in range(MIXED.context.nvars):
+        points *= 2 if v in pattern else 3
+    assert witness["mismatch_count"] == points
 
 
 def test_oracle_compare_rejects_tiny_boxes():

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lclab import weylact
+from lclab import verify, weylact
 from lclab.exactlin import kernel_basis
 from lclab.monocech import (
     INFINITE,
     DimValue,
     MonomialIdeal,
+    PatternShape,
     VariableContext,
     cohomology_profile,
     slice_complex,
@@ -346,19 +347,26 @@ def test_mutating_a_crossing_leaves_the_module_intact():
 
 def test_koszul_over_a_degree_range_builds_each_crossing_once(monkeypatch):
     solves = []
+    ranks = []
     built = Counter()
     real_solve = weylact.solve_columns
+    real_rank = weylact.rank_fraction_rows
     real_build = LocalCohomologyModule._build_crossing
 
     def counting_solve(columns, target):
         solves.append(target)
         return real_solve(columns, target)
 
+    def counting_rank(rows):
+        ranks.append(rows)
+        return real_rank(rows)
+
     def counting_build(self, pattern, v):
         built[pattern, v] += 1
         return real_build(self, pattern, v)
 
     monkeypatch.setattr(weylact, "solve_columns", counting_solve)
+    monkeypatch.setattr(weylact, "rank_fraction_rows", counting_rank)
     monkeypatch.setattr(LocalCohomologyModule, "_build_crossing", counting_build)
     module = LocalCohomologyModule(C7, 4)
     koszul_homology_X(module, 0, -6)
@@ -368,6 +376,32 @@ def test_koszul_over_a_degree_range_builds_each_crossing_once(monkeypatch):
         koszul_homology_X(module, 0, n)
     assert len(solves) == after_first_degree
     assert built and set(built.values()) == {1}
+    # one rank per (pattern, v) crossing, however many degrees read it
+    assert len(ranks) == len(built)
+
+
+def test_euler_check_builds_each_matrix_once(monkeypatch):
+    built = Counter()
+    real_euler = weylact._euler_matrix
+
+    def counting_euler(module, alpha):
+        built[module.ideal, module.i, alpha] += 1
+        return real_euler(module, alpha)
+
+    monkeypatch.setattr(weylact, "_euler_matrix", counting_euler)
+    expected = 0
+    for ideal in [MIXED, YPLANE, MonomialIdeal(CTX2, [(1, 0), (0, 1)])]:
+        report = verify.VerificationReport()
+        shapes = verify._check_shapes(ideal, report)
+        verify._check_euler(ideal, shapes, report)
+        assert report.passed, report.to_json()
+        for i, shape in shapes.items():
+            if shape is not PatternShape.EMPTY:
+                # two multidegrees per nonzero pattern
+                expected += 2 * len(LocalCohomologyModule(ideal, i).patterns())
+    assert expected > 0
+    assert len(built) == expected
+    assert set(built.values()) == {1}
 
 
 # ---------------------------------------------------------------------------
