@@ -12,7 +12,17 @@ the variable side instead, by Mustaţă's formula: for nonempty P,
 so the work follows the variables in P rather than the subsets of the
 generators.  K|_P is spanned by the maximal sets P∖supp_j; when some
 variable lies in all of them the complex is a cone, hence acyclic, and
-the pattern is skipped without linear algebra.  The generator-side
+the pattern is skipped without linear algebra.  Every other pattern is
+computed on the smaller side of Alexander duality: the dual of K|_P
+inside P is D_P = {S ⊆ P : no supp_j ∩ P lies in S}, and combinatorial
+Alexander duality (Björner–Tancer, Discrete Comput. Geom. 42, 2009)
+gives
+
+    h^i(P) = H̃^{|P|−i−1}(D_P).
+
+The non-faces of K|_P are the complements of the faces of D_P, so the
+two face counts add up to 2^|P|; D_P is enumerated until it is known to
+be the larger side, and K|_P is built only then.  The generator-side
 slices stay available (slice_complex, slice_basis) for the wall
 crossings and the window oracle.  From the profile this module derives
 nonvanishing shapes, dimensions, Hilbert data, localizations and
@@ -364,7 +374,8 @@ def _is_cone(facets):
 
 
 def _link_complex(facets):
-    """Augmented simplicial cochain complex of the complex spanned by facets.
+    """Augmented simplicial cochain complex of the complex spanned by facets
+    (K|_P or its Alexander dual D_P).
 
     Level p holds the faces with p vertices (level 0 is the empty face),
     each level in increasing mask order; the coboundary carries the sign
@@ -398,6 +409,35 @@ def _link_complex(facets):
     return FiniteComplex([len(level) for level in levels], diffs)
 
 
+def _dual_facets(support_masks, pattern_mask, cap):
+    """Facets of the Alexander dual D_P = {S ⊆ P : no supp_j ∩ P lies in S},
+    or None once D_P has more than ``cap`` faces.
+
+    One depth-first search over the vertices of P, in increasing order,
+    grows a face only while it contains no minimal restricted support; a
+    new vertex can only complete a support that contains it.
+    """
+    restricted = {s & pattern_mask for s in support_masks}
+    minimal = [r for r in restricted if not any(t != r and t & r == t for t in restricted)]
+    bits = [1 << v for v in range(pattern_mask.bit_length()) if pattern_mask >> v & 1]
+    blockers = {b: [r for r in minimal if r & b] for b in bits}
+    faces = [0]
+    stack = [(0, pattern_mask)]
+    while stack:
+        face, rest = stack.pop()
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            grown = face | low
+            if all(r & grown != r for r in blockers[low]):
+                faces.append(grown)
+                if len(faces) > cap:
+                    return None
+                stack.append((grown, rest))
+    found = set(faces)
+    return [f for f in faces if all(f | b not in found for b in bits if not f & b)]
+
+
 @lru_cache(maxsize=1024)
 def _profile_normalized(ideal):
     supports = ideal.supports
@@ -407,11 +447,23 @@ def _profile_normalized(ideal):
     by_pattern = {}
     for r in range(1, len(union) + 1):
         for subset in combinations(union, r):
-            facets = _link_facets(masks, sum(1 << v for v in subset))
+            pattern_mask = sum(1 << v for v in subset)
+            facets = _link_facets(masks, pattern_mask)
             if _is_cone(facets):
                 continue
-            # h^i(P) = H̃^{i-2}(K|_P), and H̃^{i-2} sits at index i-1
-            dims = (0,) + cohomology_dims(_link_complex(facets))
+            # Non-faces of K|_P are the complements of faces of D_P, so
+            # |K|_P| = 2^r − |D_P|; the union bound over the facets also
+            # caps |K|_P|.  D_P is used when it has at most as many faces.
+            cap = min(1 << (r - 1), 1 + sum((1 << f.bit_count()) - 1 for f in facets))
+            dual = _dual_facets(masks, pattern_mask, cap)
+            if dual is None:
+                # h^i(P) = H̃^{i-2}(K|_P), and H̃^{i-2} sits at index i-1
+                dims = (0,) + cohomology_dims(_link_complex(facets))
+            else:
+                # h^i(P) = H̃^{r-i-1}(D_P), and H̃^{r-i-1} sits at index r-i
+                found = cohomology_dims(_link_complex(dual))
+                dims = (0,) * (r + 1 - len(found)) + found[::-1]
+            # on the dual side index i > g is H̃ below degree |P|−g−1 of D_P
             if any(dims[g + 1 :]):
                 raise AssertionError(f"link cohomology beyond index {g} at {subset}")
             dims = dims[: g + 1] + (0,) * (g + 1 - len(dims))
@@ -424,9 +476,13 @@ def cohomology_profile(ideal):
     """Full sign-pattern profile of an ideal (computed on its normal form).
 
     Each nonempty pattern P inside the union of the supports gets
-    h^i(P) = H̃^{i−2}(K|_P) (Mustaţă's formula), read off the augmented
-    cochain complex of K|_P; patterns where K|_P is a cone are zero and
-    build no complex.  The empty pattern is always zero.
+    h^i(P) = H̃^{i−2}(K|_P) (Mustaţă's formula); patterns where K|_P is a
+    cone are zero and build no complex.  Every other pattern reads its
+    ranks off the augmented cochain complex of whichever of K|_P and its
+    Alexander dual D_P = {S ⊆ P : no supp_j ∩ P lies in S} has fewer
+    faces, through h^i(P) = H̃^{|P|−i−1}(D_P) on the dual side
+    (Björner–Tancer's combinatorial Alexander duality).  The empty
+    pattern is always zero.
     """
     return _profile_normalized(normalize(ideal))
 

@@ -208,14 +208,15 @@ def oracle_compare(ideal, bound=2):
     g_raw = len(ideal.generators)
     top = max(g_raw, profile.gen_count)
     mask_sums = _mask_exponent_sums(ideal.generators)
+    by_pattern = profile.by_pattern
     mismatches = []
     for alpha in _box(bound, ctx.nvars):
         alive = _alive_by_divisibility(mask_sums, alpha)
         dims = _cech_dims(alive, g_raw)
-        pattern = ctx.sign_pattern(alpha)
+        ranks = by_pattern.get(frozenset(v for v, a in enumerate(alpha) if a < 0), ())
         for i in range(-1, top + 2):
             oracle = dims[i] if 0 <= i < len(dims) else 0
-            engine = profile.h(pattern, i)
+            engine = ranks[i] if 0 <= i < len(ranks) else 0
             if oracle != engine:
                 mismatches.append((alpha, i, oracle, engine))
 

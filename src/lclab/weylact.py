@@ -331,9 +331,25 @@ class LocalCohomologyModule(PatternModulePresentation):
 # ---------------------------------------------------------------------------
 
 
+def _scalar_of(rows):
+    """c when the nonzero matrix rows is c times a square identity, else None."""
+    c = rows[0][0]
+    for r, row in enumerate(rows):
+        if len(row) != len(rows):
+            return None
+        for t, x in enumerate(row):
+            if x != (c if t == r else 0):
+                return None
+    return c
+
+
 def _euler_matrix(module, alpha):
     """Σ X_v ∂_v on piece(α), as the product of the derivative and the
-    multiplication back along each degree-1 variable."""
+    multiplication back along each degree-1 variable.
+
+    Off the wall both factors are scalar identities and at α_v = 0 the
+    derivative is zero, so those terms add c·c′ on the diagonal, or
+    nothing, without a matrix product."""
     ctx = module.context
     dim = module.piece_dim(alpha)
     total = _zero_rows(dim, dim)
@@ -341,7 +357,14 @@ def _euler_matrix(module, alpha):
         down = module.derham_transition(alpha, v)
         alpha_down = tuple(a - 1 if t == v else a for t, a in enumerate(alpha))
         back = module.transition(alpha_down, v)
-        total = _mat_add(total, _matmul(back, down, dim))
+        if not any(any(row) for row in down) or not any(any(row) for row in back):
+            continue
+        c, c_down = _scalar_of(back), _scalar_of(down)
+        if c is None or c_down is None:
+            total = _mat_add(total, _matmul(back, down, dim))
+        else:
+            for r in range(dim):
+                total[r][r] += c * c_down
     return total
 
 

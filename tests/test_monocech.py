@@ -28,7 +28,8 @@ from lclab.monocech import (
     support_min_primes,
     x_lattice_count,
 )
-from lclab.monocech import _is_cone, _link_facets, _profile_normalized
+from lclab import monocech
+from lclab.monocech import _is_cone, _link_complex, _link_facets, _profile_normalized
 from lclab.verify import exhaustive_ideals, random_battery
 
 CTX_MIXED = VariableContext(("Y1", "Y2"), ("X1",))
@@ -277,6 +278,111 @@ def test_cone_pruned_patterns_are_exactly_the_zero_ones(ideal):
         for subset in combinations(range(nvars), r):
             cone = _is_cone(_link_facets(masks, sum(1 << v for v in subset)))
             assert cone == (frozenset(subset) not in prof.by_pattern), subset
+
+
+# ---------------------------------------------------------------------------
+# Alexander duality: the link complex K|_P against its dual D_P inside P
+# ---------------------------------------------------------------------------
+
+
+def _dual_faces_by_scan(masks, pattern_mask):
+    """Faces of D_P = {S ⊆ P : no supp_j ∩ P lies in S}, from all 2^|P| subsets."""
+    bits = [1 << v for v in range(pattern_mask.bit_length()) if pattern_mask >> v & 1]
+    faces = set()
+    for choice in range(1 << len(bits)):
+        s = sum(b for j, b in enumerate(bits) if choice >> j & 1)
+        if not any(m & pattern_mask & ~s == 0 for m in masks):
+            faces.add(s)
+    return faces
+
+
+def _assert_sides_agree(ideal):
+    supports = normalize(ideal).supports
+    masks = [sum(1 << v for v in s) for s in supports]
+    union = sorted(frozenset().union(*supports))
+    for r in range(1, len(union) + 1):
+        for subset in combinations(union, r):
+            pattern_mask = sum(1 << v for v in subset)
+            facets = _link_facets(masks, pattern_mask)
+            if _is_cone(facets):
+                continue
+            faces = _dual_faces_by_scan(masks, pattern_mask)
+            by_scan = [s for s in faces if not any(t != s and t & s == s for t in faces)]
+            # with room for every subset of P the search finds the same facets
+            assert sorted(monocech._dual_facets(masks, pattern_mask, 1 << r)) == sorted(by_scan)
+            link = cohomology_dims(_link_complex(facets))
+            dual = cohomology_dims(_link_complex(by_scan))
+            assert len(link) <= r and len(dual) <= r, (ideal, subset)
+            # H̃^j(K|_P) sits at index j+1, H̃^{r-j-3}(D_P) at index r-j-2
+            for j in range(-1, r - 1):
+                k_side = link[j + 1] if j + 1 < len(link) else 0
+                d_side = dual[r - j - 2] if r - j - 2 < len(dual) else 0
+                assert k_side == d_side, (ideal, subset, j)
+
+
+@pytest.mark.parametrize(
+    "ideals",
+    [lambda: exhaustive_ideals(4), lambda: random_battery(count=120, seed=7)],
+    ids=["exhaustive-4", "battery-7"],
+)
+def test_link_and_dual_sides_agree(ideals):
+    for ideal in ideals():
+        _assert_sides_agree(ideal)
+
+
+def _cycle(n):
+    return _edge_ideal(n, [(j, (j + 1) % n) for j in range(n)])
+
+
+def _built_complexes(monkeypatch, ideal, decisions=None):
+    """Cells of every complex a cold profile builds, and how many patterns
+    went to the dual side and how many to the link side; each side choice
+    is also appended to ``decisions`` as (support masks, pattern mask,
+    whether D_P was taken)."""
+    cells, sides = [], {"dual": 0, "link": 0}
+    real_complex, real_dual = monocech._link_complex, monocech._dual_facets
+
+    def counting_complex(facets):
+        complex_ = real_complex(facets)
+        cells.append(sum(complex_.levels))
+        return complex_
+
+    def counting_dual(masks, pattern_mask, cap):
+        facets = real_dual(masks, pattern_mask, cap)
+        sides["link" if facets is None else "dual"] += 1
+        if decisions is not None:
+            decisions.append((masks, pattern_mask, facets is not None))
+        return facets
+
+    monkeypatch.setattr(monocech, "_link_complex", counting_complex)
+    monkeypatch.setattr(monocech, "_dual_facets", counting_dual)
+    _profile_normalized.__wrapped__(normalize(ideal))
+    monkeypatch.undo()
+    return cells, sides
+
+
+def test_each_pattern_is_computed_on_the_smaller_side(monkeypatch):
+    # C12: K|_P reaches 3,774 cells on some pattern, D_P at most 322
+    cells, sides = _built_complexes(monkeypatch, _cycle(12))
+    assert len(cells) == 192 and max(cells) <= 400
+    assert sides == {"dual": 192, "link": 0}
+    # (X1⋯X10): every K|_P is the empty face alone, D_P is a sphere
+    principal = MonomialIdeal(VariableContext((), tuple(f"X{j}" for j in range(1, 11))), [(1,) * 10])
+    cells, sides = _built_complexes(monkeypatch, principal)
+    assert len(cells) == 1023 and sum(cells) <= 1100
+    assert sides["link"] > 0
+
+
+def test_the_dual_side_is_taken_exactly_when_it_has_no_more_faces(monkeypatch):
+    decisions = []
+    for ideal in random_battery(count=120, seed=7):
+        _built_complexes(monkeypatch, ideal, decisions)
+    for masks, pattern_mask, took_dual in decisions:
+        dual_faces = len(_dual_faces_by_scan(masks, pattern_mask))
+        # the non-faces of K|_P are the complements of the faces of D_P
+        link_faces = (1 << pattern_mask.bit_count()) - dual_faces
+        assert took_dual == (dual_faces <= link_faces), (masks, pattern_mask)
+    assert {took for _, _, took in decisions} == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,46 @@ def test_euler_check_builds_each_matrix_once(monkeypatch):
     assert set(built.values()) == {1}
 
 
+def _euler_by_products(module, alpha):
+    """Σ X_v ∂_v as the plain sum of full matrix products."""
+    dim = module.piece_dim(alpha)
+    total = weylact._zero_rows(dim, dim)
+    for v in sorted(module.context.x_indices):
+        down = module.derham_transition(alpha, v)
+        back = module.transition(tuple(a - (t == v) for t, a in enumerate(alpha)), v)
+        total = weylact._mat_add(total, weylact._matmul(back, down, dim))
+    return total
+
+
+class _JordanModule(weylact.PatternModulePresentation):
+    """Two-dimensional pieces whose derivative is a Jordan block, so the
+    Euler sum needs a real product."""
+
+    def pattern_dim(self, pattern):
+        return 2
+
+    def mult_crossing(self, pattern, v):
+        return [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
+
+    def derham_transition(self, alpha, v):
+        return [[Fraction(alpha[v]), Fraction(1)], [Fraction(0), Fraction(alpha[v])]]
+
+
+def test_euler_matrix_matches_the_full_products():
+    modules = [_JordanModule(CTX2)] + [
+        LocalCohomologyModule(ideal, i)
+        for ideal in exhaustive_ideals(3)
+        for i in range(len(ideal.generators) + 1)
+    ]
+    checked = 0
+    for module in modules:
+        for alpha in verify._box(2, module.context.nvars):
+            if module.piece_dim(alpha):
+                assert weylact._euler_matrix(module, alpha) == _euler_by_products(module, alpha)
+                checked += 1
+    assert checked > 1000
+
+
 # ---------------------------------------------------------------------------
 # four-term sequences
 # ---------------------------------------------------------------------------
