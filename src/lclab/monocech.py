@@ -238,26 +238,28 @@ def _union_support(supports, sigma):
 
 
 def _alive_masks(supports, pattern):
-    """Bitmasks (over generators) of the subsets σ with pattern ⊆ supp(m_σ).
+    """The subsets σ (bitmasks over generators) with pattern ⊆ supp(m_σ), as
+    an alive family: an int whose bit σ is set when σ is alive.
 
     The empty σ (the ring summand) is alive exactly when the pattern is
     empty; aliveness is upward-closed since supports only grow along σ.
     """
     g = len(supports)
-    alive = set()
+    alive = 0
     for mask in range(1 << g):
         sigma = [j for j in range(g) if mask >> j & 1]
         if pattern <= _union_support(supports, sigma):
-            alive.add(mask)
-    return frozenset(alive)
+            alive |= 1 << mask
+    return alive
 
 
 def _basis_from_alive(alive, g):
     """Alive subsets grouped by size, each level in lexicographic order."""
     basis = [[] for _ in range(g + 1)]
-    for mask in alive:
-        sigma = tuple(j for j in range(g) if mask >> j & 1)
-        basis[len(sigma)].append(sigma)
+    for mask in range(1 << g):
+        if alive >> mask & 1:
+            sigma = tuple(j for j in range(g) if mask >> j & 1)
+            basis[len(sigma)].append(sigma)
     for level in basis:
         level.sort()
     return basis
@@ -281,7 +283,8 @@ def _complex_from_alive(alive, g):
 
 @lru_cache(maxsize=65536)
 def _cech_dims(alive, g):
-    """Cohomology dimensions for an upward-closed family of generator subsets.
+    """Cohomology dimensions for an upward-closed family of generator subsets,
+    given as an alive family (bit σ set when σ is alive).
 
     Keyed only by the alive family so distinct multidegrees (and distinct
     ideals) with the same combinatorics share one rank computation.

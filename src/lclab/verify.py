@@ -5,18 +5,20 @@ deciding which localizations are nonzero there by explicit divisibility
 witnesses — deliberately not by the sign-pattern rule — so agreement
 with the pattern engine is a genuine two-route check.  Every point of
 the box is evaluated and every generator subset gets its least witness
-there; the loop is plain early-exit code over the negative coordinates
-of each multidegree, and nothing is carried between points except the
-rank cache keyed by the alive family.  On top of it sit
-a battery of named structural checks and a built-in corpus of worked
-examples with frozen expectations.
+and its componentwise check there, for all subsets at once: an alive
+family is an int bitset over generator subsets, and per-coordinate
+witness tables, built once per ideal and box bound, are ANDed over the
+negative coordinates of each multidegree.  Between points only those
+tables and the rank cache keyed by the alive family are carried.  On top
+of it sit a battery of named structural checks and a built-in corpus of
+worked examples with frozen expectations.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .exactlin import binom_ext
 from .monocech import (
@@ -70,36 +72,72 @@ def _mask_exponent_sums(generators):
     return sums
 
 
-def _alive_by_divisibility(mask_sums, alpha):
-    """Subsets whose localization is nonzero at α, decided by an explicit
-    witness exponent.
+def _witness_tables(mask_sums, bound):
+    """Per-coordinate witness tables for multidegrees with every α_v ≥ −bound.
+
+    Every row is a bitset whose bit σ stands for the generator subset σ,
+    with product exponent vector e.  For coordinate v and value a,
+    ``rows[v][a + bound]`` holds two rows per power t ∈ 0..bound: the
+    subsets with e_v > 0 and ceil(−a / e_v) ≤ t (all of them when a ≥ 0,
+    which puts no limit on t), and the subsets with a + t·e_v ≥ 0.
+    ``positive[v]`` holds the subsets with e_v > 0.
+    """
+    full = (1 << len(mask_sums)) - 1
+    powers = range(bound + 1)
+    rows, positive = [], []
+    for v in range(len(mask_sums[0])):
+        by_exponent = {}
+        for mask, e in enumerate(mask_sums):
+            by_exponent[e[v]] = by_exponent.get(e[v], 0) | 1 << mask
+        # the classes by exponent are disjoint, so their sum is their union
+        classes = by_exponent.items()
+        rows.append([])
+        for a in range(-bound, bound + 1):
+            least = [
+                sum(s for ev, s in classes if a >= 0 or ev > 0 and (ev - a - 1) // ev <= t)
+                for t in powers
+            ]
+            reach = [sum(s for ev, s in classes if a + t * ev >= 0) for t in powers]
+            rows[v].append((least, reach))
+        positive.append(full & ~by_exponent.get(0, 0))
+    return bound, full, rows, positive
+
+
+def _alive_by_divisibility(tables, alpha):
+    """Alive family at α: bit σ is set when σ's localization is nonzero there.
 
     For the product monomial x^e of a subset, the localization at x^e is
     nonzero at α exactly when some power x^{t·e} lifts α into the
     nonnegative orthant.  The least such t is the largest ceil(−α_v / e_v)
     over the negative coordinates of α, read off the raw exponents as
     written; a zero exponent on a negative coordinate means no power
-    helps and the subset is dead.  The subset is alive when α + t·e ≥ 0
-    holds on every coordinate.
+    helps and the subset is dead.  For every subset at once, ANDing the
+    tables' rows over α's negative coordinates gives the subsets whose
+    least witness is at most t; without those at most t − 1, the ones
+    whose least witness is exactly t stay alive if α + t·e ≥ 0 on every
+    coordinate (exponents are nonnegative, so α_v ≥ 0 always passes).
+    The powers stop once every subset with a finite witness is placed; a
+    multidegree or witness beyond the tables raises.
     """
-    negative = [(v, a) for v, a in enumerate(alpha) if a < 0]
-    alive = []
-    for mask, e in enumerate(mask_sums):
-        t = 0
-        for v, a in negative:
-            ev = e[v]
-            if ev == 0:
-                break
-            need = (ev - a - 1) // ev  # ceil(-a / ev)
-            if need > t:
-                t = need
-        else:
-            for a, ev in zip(alpha, e):
-                if a + t * ev < 0:
-                    break
-            else:
-                alive.append(mask)
-    return frozenset(alive)
+    bound, full, rows, positive = tables
+    finite, picked = full, []
+    for v, a in enumerate(alpha):
+        if a < 0:
+            if a < -bound:
+                raise ValueError(f"{alpha} lies beyond the tables for bound {bound}")
+            picked.append(rows[v][a + bound])
+            finite &= positive[v]
+    alive = placed = 0
+    for t in range(bound + 1):
+        least = reach = full
+        for le, ok in picked:
+            least &= le[t]
+            reach &= ok[t]
+        alive |= least & ~placed & reach
+        placed = least
+        if not finite & ~placed:
+            return alive
+    raise ValueError(f"a witness at {alpha} lies beyond the tables for bound {bound}")
 
 
 def window_oracle(ideal, i, alpha):
@@ -107,12 +145,15 @@ def window_oracle(ideal, i, alpha):
 
     Uses the raw generator exponents as written (no normalization), so it
     also exercises radical invariance whenever the input is not reduced.
+    The witness tables are built at bound max|α_v|.
     """
     alpha = tuple(alpha)
     if len(alpha) != ideal.context.nvars:
         raise ValueError("multidegree length mismatch")
-    mask_sums = _mask_exponent_sums(ideal.generators)
-    dims = _cech_dims(_alive_by_divisibility(mask_sums, alpha), len(ideal.generators))
+    tables = _witness_tables(
+        _mask_exponent_sums(ideal.generators), max(map(abs, alpha), default=0)
+    )
+    dims = _cech_dims(_alive_by_divisibility(tables, alpha), len(ideal.generators))
     return dims[i] if 0 <= i < len(dims) else 0
 
 
@@ -189,60 +230,59 @@ def _repro(ideal, **extra):
 
 
 def _box(bound, nvars):
-    if nvars == 0:
-        yield ()
-        return
-    for rest in _box(bound, nvars - 1):
-        for a in range(-bound, bound + 1):
-            yield rest + (a,)
+    """Every point of [−bound, bound]^nvars, in lexicographic order."""
+    return product(range(-bound, bound + 1), repeat=nvars)
 
 
 def oracle_compare(ideal, bound=2):
     """Compare the divisibility oracle with the pattern engine at every
     multidegree in [−bound, bound]^nvars and every index from −1 to one
-    past the top, so both routes must also read 0 outside the complex."""
+    past the top, so both routes must also read 0 outside the complex.
+
+    The two rank vectors are compared once per point, the engine's padded
+    with zeros to the oracle's length; only where they differ are the
+    indices walked to count and locate the mismatches."""
     if bound < 2:
         raise ValueError("bound must be at least 2")
     ctx = ideal.context
     profile = cohomology_profile(ideal)
     g_raw = len(ideal.generators)
     top = max(g_raw, profile.gen_count)
-    mask_sums = _mask_exponent_sums(ideal.generators)
-    by_pattern = profile.by_pattern
-    mismatches = []
-    for alpha in _box(bound, ctx.nvars):
-        alive = _alive_by_divisibility(mask_sums, alpha)
-        dims = _cech_dims(alive, g_raw)
-        ranks = by_pattern.get(frozenset(v for v, a in enumerate(alpha) if a < 0), ())
+    tables = _witness_tables(_mask_exponent_sums(ideal.generators), bound)
+    zeros = (0,) * (g_raw + 1)
+    engine = {
+        sum(1 << v for v in pattern): ranks + zeros[len(ranks) :]
+        for pattern, ranks in profile.by_pattern.items()
+    }
+    # per point, the bit of each negative coordinate, in box order
+    negative_bits = product(
+        *([1 << v if a < 0 else 0 for a in range(-bound, bound + 1)] for v in range(ctx.nvars))
+    )
+    mismatch_count, first = 0, None
+    for alpha, bits in zip(_box(bound, ctx.nvars), negative_bits):
+        dims = _cech_dims(_alive_by_divisibility(tables, alpha), g_raw)
+        ranks = engine.get(sum(bits), zeros)
+        if dims == ranks:
+            continue
         for i in range(-1, top + 2):
             oracle = dims[i] if 0 <= i < len(dims) else 0
-            engine = ranks[i] if 0 <= i < len(ranks) else 0
-            if oracle != engine:
-                mismatches.append((alpha, i, oracle, engine))
+            other = ranks[i] if 0 <= i < len(ranks) else 0
+            if oracle != other:
+                mismatch_count += 1
+                if first is None:
+                    first = (alpha, i, oracle, other)
 
     report = VerificationReport()
-    if mismatches:
-        alpha, i, oracle, engine = mismatches[0]
-        report.add(
-            "oracle-box",
-            "divisibility oracle and pattern engine agree on every window piece",
-            "fail",
-            _repro(
-                ideal,
-                alpha=list(alpha),
-                i=i,
-                oracle=oracle,
-                engine=engine,
-                mismatch_count=len(mismatches),
-            ),
+    statement = "divisibility oracle and pattern engine agree on every window piece"
+    if mismatch_count:
+        alpha, i, oracle, other = first
+        witness = _repro(
+            ideal, alpha=list(alpha), i=i, oracle=oracle, engine=other, mismatch_count=mismatch_count
         )
+        report.add("oracle-box", statement, "fail", witness)
     else:
-        report.add(
-            "oracle-box",
-            "divisibility oracle and pattern engine agree on every window piece",
-            "pass",
-            {"bound": bound, "points": (2 * bound + 1) ** ctx.nvars},
-        )
+        witness = {"bound": bound, "points": (2 * bound + 1) ** ctx.nvars}
+        report.add("oracle-box", statement, "pass", witness)
     return report
 
 

@@ -347,17 +347,20 @@ def _euler_matrix(module, alpha):
     """Σ X_v ∂_v on piece(α), as the product of the derivative and the
     multiplication back along each degree-1 variable.
 
-    Off the wall both factors are scalar identities and at α_v = 0 the
-    derivative is zero, so those terms add c·c′ on the diagonal, or
-    nothing, without a matrix product."""
+    Off the wall both factors are scalar identities, so those terms add
+    c·c′ on the diagonal without a matrix product.  The wall crossing
+    back is only reached at α_v = 0, where the derivative is zero, so a
+    zero derivative skips the term before the crossing is built."""
     ctx = module.context
     dim = module.piece_dim(alpha)
     total = _zero_rows(dim, dim)
     for v in sorted(ctx.x_indices):
         down = module.derham_transition(alpha, v)
+        if not any(any(row) for row in down):
+            continue
         alpha_down = tuple(a - 1 if t == v else a for t, a in enumerate(alpha))
         back = module.transition(alpha_down, v)
-        if not any(any(row) for row in down) or not any(any(row) for row in back):
+        if not any(any(row) for row in back):
             continue
         c, c_down = _scalar_of(back), _scalar_of(down)
         if c is None or c_down is None:

@@ -440,10 +440,18 @@ VERIFY_DIGESTS = {
         "c0fd73dcd640d5ce14877df05219df9f4d7f34c36334a39bbe6a5089ff9f9a38",
     ("verify", "--corpus", "--json"):
         "203f626ba142891e516fd9ebc741558b6a570bc68f709d2b56e5c5109069869b",
+    # four 5-variable ideals with 4-5 generators, the widest oracle boxes;
+    # captured at commit c67bbd6, before the witnesses were decided by bitsets
+    ("verify", "--random", "50", "--seed", "368688", "--json"):
+        "6cb25379cf20a13a5c702d63b825c48ec243b7ab28a8163b878cb829d7934d3c",
 }
 
 
-@pytest.mark.parametrize("argv", sorted(VERIFY_DIGESTS), ids=["corpus", "random-50-seed-3"])
+@pytest.mark.parametrize(
+    "argv",
+    sorted(VERIFY_DIGESTS),
+    ids=["corpus", "random-50-seed-3", "random-50-seed-368688"],
+)
 def test_verify_json_is_pinned(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -2,6 +2,7 @@
 
 import dataclasses
 from collections import Counter
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -105,14 +106,34 @@ def test_alive_by_divisibility_matches_witness_search(case):
     generators, alpha = case
     mask_sums = verify._mask_exponent_sums(generators)
     bound = max(abs(a) for a in alpha)
-    expected = frozenset(
-        mask
+    expected = sum(
+        1 << mask
         for mask, e in enumerate(mask_sums)
         if any(
             all(a + t * ev >= 0 for a, ev in zip(alpha, e)) for t in range(bound + 1)
         )
     )
-    assert verify._alive_by_divisibility(mask_sums, alpha) == expected
+    tables = verify._witness_tables(mask_sums, bound)
+    assert verify._alive_by_divisibility(tables, alpha) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_exponents_and_alpha())
+def test_alive_family_does_not_depend_on_the_table_bound(case):
+    generators, alpha = case
+    mask_sums = verify._mask_exponent_sums(generators)
+    bound = max(abs(a) for a in alpha)
+    tight = verify._witness_tables(mask_sums, bound)
+    wide = verify._witness_tables(mask_sums, bound + 2)
+    assert verify._alive_by_divisibility(tight, alpha) == verify._alive_by_divisibility(
+        wide, alpha
+    )
+
+
+def test_alive_by_divisibility_raises_past_its_tables():
+    mask_sums = verify._mask_exponent_sums([(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="beyond the tables"):
+        verify._alive_by_divisibility(verify._witness_tables(mask_sums, 2), (-3, 0))
 
 
 def test_oracle_compare_reports_a_rank_off_by_one(monkeypatch):
@@ -137,6 +158,60 @@ def test_oracle_compare_reports_a_rank_off_by_one(monkeypatch):
     for v in range(MIXED.context.nvars):
         points *= 2 if v in pattern else 3
     assert witness["mismatch_count"] == points
+
+
+def _rank_plus_one(by_pattern, nvars, top):
+    pattern, dims = next(iter(by_pattern.items()))
+    i = next(t for t, h in enumerate(dims) if h)
+    return {**by_pattern, pattern: dims[:i] + (dims[i] + 1,) + dims[i + 1 :]}
+
+
+def _extra_pattern(by_pattern, nvars, top):
+    # a pattern the engine reads as zero, made nonzero at index 0 and one past the top
+    pattern = next(
+        frozenset(c)
+        for r in range(1, nvars + 1)
+        for c in combinations(range(nvars), r)
+        if frozenset(c) not in by_pattern
+    )
+    return {**by_pattern, pattern: (1,) + (0,) * top + (1,)}
+
+
+def _dropped_pattern(by_pattern, nvars, top):
+    dropped = next(iter(by_pattern))
+    return {p: dims for p, dims in by_pattern.items() if p != dropped}
+
+
+@pytest.mark.parametrize(
+    "breaker",
+    [_rank_plus_one, _extra_pattern, _dropped_pattern],
+    ids=["rank-plus-one", "extra-pattern", "dropped-pattern"],
+)
+def test_oracle_compare_counts_mismatches_like_a_plain_walk(monkeypatch, breaker):
+    # raw and non-reduced: three generators against the engine's two
+    ideal = MonomialIdeal(CTX_MIXED, [(2, 3, 0), (1, 0, 2), (3, 3, 2)])
+    real = verify.cohomology_profile(ideal)
+    nvars = ideal.context.nvars
+    top = max(len(ideal.generators), real.gen_count)
+    broken = CohomologyProfile(
+        real.ideal, real.gen_count, breaker(real.by_pattern, nvars, top)
+    )
+    hits = [
+        (list(alpha), i)
+        for alpha in product(range(-2, 3), repeat=nvars)
+        for i in range(-1, top + 2)
+        if window_oracle(ideal, i, alpha) != broken.h(ideal.context.sign_pattern(alpha), i)
+    ]
+    assert hits
+    monkeypatch.setattr(verify, "cohomology_profile", lambda ideal: broken)
+    [result] = oracle_compare(ideal).results
+    assert result.status == "fail"
+    witness = result.witness
+    assert witness["mismatch_count"] == len(hits)
+    assert (witness["alpha"], witness["i"]) == hits[0]
+    alpha, i = hits[0]
+    assert witness["oracle"] == window_oracle(ideal, i, alpha)
+    assert witness["engine"] == broken.h(ideal.context.sign_pattern(alpha), i)
 
 
 def test_oracle_compare_rejects_tiny_boxes():

@@ -444,6 +444,27 @@ def test_euler_matrix_matches_the_full_products():
     assert checked > 1000
 
 
+def test_euler_check_builds_no_crossings(monkeypatch):
+    # the crossing is only reached at α_v = 0, where the derivative is zero
+    crossings = Counter()
+    real_crossing = LocalCohomologyModule.mult_crossing
+
+    def counting_crossing(module, pattern, v):
+        crossings[module.ideal, module.i, frozenset(pattern), v] += 1
+        return real_crossing(module, pattern, v)
+
+    monkeypatch.setattr(LocalCohomologyModule, "mult_crossing", counting_crossing)
+    checked = 0
+    for ideal in [*exhaustive_ideals(3), *random_battery(count=60, seed=5)]:
+        report = verify.VerificationReport()
+        shapes = verify._check_shapes(ideal, report)
+        verify._check_euler(ideal, shapes, report)
+        assert report.passed, report.to_json()
+        checked += any(shape is not PatternShape.EMPTY for shape in shapes.values())
+    assert checked > 50
+    assert not crossings
+
+
 # ---------------------------------------------------------------------------
 # four-term sequences
 # ---------------------------------------------------------------------------
