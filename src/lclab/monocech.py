@@ -23,10 +23,10 @@ gives
 The non-faces of K|_P are the complements of the faces of D_P, so the
 two face counts add up to 2^|P|; D_P is enumerated until it is known to
 be the larger side, and K|_P is built only then.  The generator-side
-slices stay available (slice_complex, slice_basis) for the wall
-crossings and the window oracle.  From the profile this module derives
-nonvanishing shapes, dimensions, Hilbert data, localizations and
-supports.
+slices (slice_complex, slice_basis) serve only the wall crossings; they
+and the window oracle's _cech_dims build through _complex_from_alive,
+which the profile never calls.  From the profile this module derives
+nonvanishing shapes, dimensions, Hilbert data, localizations and supports.
 """
 
 from __future__ import annotations
@@ -382,9 +382,9 @@ def _link_complex(facets):
 
     Level p holds the faces with p vertices (level 0 is the empty face),
     each level in increasing mask order; the coboundary carries the sign
-    (−1)^t for the t-th vertex of a face in increasing order.  It is kept
-    apart from _complex_from_alive so the engine and the window oracle
-    share no complex-building code.
+    (−1)^t for the t-th vertex of a face in increasing order.  Kept apart
+    from _complex_from_alive, through which the crossings and the window
+    oracle build, so the profile and the oracle share no complex code.
     """
     faces = set()
     for f in facets:

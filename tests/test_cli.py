@@ -458,6 +458,17 @@ def test_verify_json_is_pinned(capsys, argv):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[argv]
 
 
+# the text report prints every check's statement; captured at commit f9c72f7,
+# before the statements were gathered into one table
+VERIFY_TEXT_DIGEST = "8b77223071c15ce1097fb6325149d94d1712a2795e8372df3297762c12e226b3"
+
+
+def test_verify_text_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--corpus")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_TEXT_DIGEST
+
+
 def test_negative_short_flag_values_are_absorbed(capsys):
     # "-n -5..5" with a separate token must parse as a range, not a flag
     code, out, _ = run_cli(capsys, "dim", MAXX2_SPEC, "-i", "2", "-n", "-3..-2")

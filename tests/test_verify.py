@@ -1,6 +1,9 @@
 """Oracle-vs-engine agreement, the structural-law suite, and the corpus."""
 
 import dataclasses
+import hashlib
+import json
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -9,13 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lclab import verify
+from lclab.exactlin import IntegerPolynomial
 from lclab.monocech import (
+    UNIT_IDEAL,
     CohomologyProfile,
     DimValue,
     MonomialIdeal,
     PatternShape,
+    ShapeViolationError,
     VariableContext,
 )
+from lclab.weylact import NotEulerianError
 from lclab.verify import (
     CheckResult,
     VerificationReport,
@@ -78,6 +85,26 @@ def test_window_oracle_ignores_redundant_generators():
     for alpha in [(-1, 0, 0), (-1, -1, -1), (0, -1, -1), (1, 1, 1), (-2, 0, -3)]:
         for i in range(4):
             assert window_oracle(padded, i, alpha) == window_oracle(MIXED, i, alpha)
+
+
+def test_window_oracle_far_point_builds_only_its_rows():
+    # on the 4-cycle edge ideal; tables for every value in [−2000, 2000]
+    # hold 4,001 × 2 × 2,001 bitsets per coordinate, the rows this point
+    # reads 2 × 2,001 for each negative coordinate
+    ctx = VariableContext((), ("X1", "X2", "X3", "X4"))
+    cycle = MonomialIdeal(ctx, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)])
+    profile = verify.cohomology_profile(cycle)
+    # the second point's pattern {X1, X3} has h^2 = 1, so one answer is nonzero
+    points = [(-2000, -1, 0, 0), (-2000, 0, -1, 0)]
+    expected = [profile.h(ctx.sign_pattern(a), i) for a in points for i in range(5)]
+    tracemalloc.start()
+    try:
+        got = [window_oracle(cycle, i, a) for a in points for i in range(5)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expected and any(expected)
+    assert peak < 20 * 2**20
 
 
 def test_oracle_compare_passes_on_raw_nonreduced_input():
@@ -354,6 +381,152 @@ def test_theorem_suite_growth_gap_form_runs_on_maximal_ideal():
 def test_theorem_suite_passes_on_random_small_ideals(seed):
     ideal = random_ideal(seed, seed % 3, 1 + seed % 2, 1 + seed % 3)
     assert theorem_suite(ideal).passed
+
+
+class _DegreeZeroClaim(IntegerPolynomial):
+    """Same values and rendering, but a nonzero polynomial claims degree 0."""
+
+    __slots__ = ()
+
+    @property
+    def degree(self):
+        return 0 if self.coeffs else None
+
+
+def _raise_shape_violation(orig):
+    def fake(ideal, i):
+        if i == 1:
+            raise ShapeViolationError("injected: index 1 breaks the five shapes")
+        return orig(ideal, i)
+
+    return fake
+
+
+def _shape_at(index, shape):
+    def wrap(orig):
+        def fake(ideal, i):
+            report = orig(ideal, i)
+            return dataclasses.replace(report, shape=shape) if i == index else report
+
+        return fake
+
+    return wrap
+
+
+def _low_degree_pair(orig):
+    def fake(ideal, i):
+        return tuple(_DegreeZeroClaim(p.coeffs, p.side, p.bound) for p in orig(ideal, i))
+
+    return fake
+
+
+def _raise_not_eulerian(orig):
+    def fake(module, alpha):
+        raise NotEulerianError("injected: E is not diagonal")
+
+    return fake
+
+
+# One injected engine fault per structural fail site of theorem_suite: the
+# name rebound in verify, the corpus ideal, how the fault wraps the
+# original, the checks that fail, and the SHA-256 of the whole report's
+# JSON, captured at commit f9c72f7, before the statements were gathered
+# into one table.  Tail rigidity, localization-route and euler-diagonal
+# each have more than one fail site, and every one is reached.
+FAIL_SITES = {
+    "five-shapes": (
+        "pattern_report", "maximal-x-m2", _raise_shape_violation,
+        ["five-shapes"],
+        "6b827dd671fe8d06e83b4a00bb605c3088f41bbaa199185ff5a43bb6242913e0",
+    ),
+    "index-zero": (
+        "pattern_report", "maximal-x-m2",
+        _shape_at(0, PatternShape.NEG_TAIL_ONLY),
+        ["index-zero"],
+        "eb00631c9ffe5787bb40c0b712c75b17b58178e79c83ef6e937203913fe18866",
+    ),
+    "tail-rigidity-gap": (
+        "piece_nonzero", "maximal-x-m2",
+        lambda orig: lambda ideal, i, n: orig(ideal, i, n) or n == -1,
+        ["tail-rigidity"],
+        "8742af1cb63e62ec4ecb62943dd48267adf89d87c7677777d45a6806b69478e0",
+    ),
+    "tail-rigidity-negative": (
+        "piece_nonzero", "maximal-x-m2",
+        lambda orig: lambda ideal, i, n: orig(ideal, i, n) and n != -5,
+        ["tail-rigidity"],
+        "aa1992e782a2a25d1a4ab8339490cad95c97c40888efe8c5343a7d75bf81efd1",
+    ),
+    "tail-rigidity-positive": (
+        "piece_nonzero", "maximal-x-m2",
+        lambda orig: lambda ideal, i, n: orig(ideal, i, n) or n == 3,
+        ["tail-rigidity"],
+        "7aa932ec9fe2950cf7f22f7580982d6a5b3e88b124232969c7c7003e0ca5df1b",
+    ),
+    "nonneg-witness": (
+        "pattern_report", "maximal-x-m2",
+        _shape_at(1, PatternShape.NONNEG_ONLY),
+        ["nonneg-witness"],
+        "ce8f6345e598bd6455d7f7a5a0829808132716b629a437e532627b753e999dd6",
+    ),
+    "growth-polynomials": (
+        "hilbert_pair", "maximal-x-m2",
+        lambda orig: lambda ideal, i: orig(ideal, i)[::-1],
+        ["growth-polynomials"],
+        "544160ef3dd4e01d43e643fa7027dbc4f3457a8bef04ef4427bfe32b65b7c4d7",
+    ),
+    "growth-gap-form": (
+        "hilbert_pair", "maximal-x-m2", _low_degree_pair,
+        ["growth-gap-form"],
+        "f16860f802214ae9b1b7e0be300ec175fc4c43aad7902788179ace85863a141d",
+    ),
+    "support-stability": (
+        "support_min_primes", "cross-tails",
+        lambda orig: lambda ideal, i, n: frozenset() if n == 1 else orig(ideal, i, n),
+        ["support-stability"],
+        "6fe5fefed1806683d1557c78ca8e5a751b9cb790c9c6d206626f6dc1d7c121db",
+    ),
+    "support-dim-gap": (
+        "support_dim", "cross-tails",
+        lambda orig: lambda ideal, i, n: 3 if n == -1 else orig(ideal, i, n),
+        ["support-dim-gap"],
+        "e4ec443fc0e8a1b36ff6f4283cba33e81e10602e4e53c3a5ad47cbd5eb5ab4af",
+    ),
+    "localization-route-unit": (
+        "localize", "mixed-pinch",
+        lambda orig: lambda ideal, invert: UNIT_IDEAL,
+        ["localization-route"],
+        "d8495eba804c9a5c2df409ab5a71619057ecb8902794d716db6c2bb21d0168fb",
+    ),
+    "localization-route-pattern": (
+        "localize", "mixed-pinch",
+        lambda orig: lambda ideal, invert: orig(ideal, frozenset()),
+        ["localization-route"],
+        "4531f75fe568ccc55868e1dfdc123de56e0924e37599f436ac3a36ed7210e10e",
+    ),
+    "euler-diagonal-raises": (
+        "euler_eigencheck", "maximal-x-m2", _raise_not_eulerian,
+        ["euler-diagonal"],
+        "4ff6b329df06849e0ab9d6590927efa4c93a7aeb0c16b637e19b07cb69af6846",
+    ),
+    "euler-diagonal-exponent": (
+        "gen_eulerian_exponent", "maximal-x-m2",
+        lambda orig: lambda module, alpha: 2,
+        ["euler-diagonal"],
+        "10a4d463c77e46771e761ebf43cef9ac858532fcc012a68ee9ec32fb868ce7bd",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(FAIL_SITES))
+def test_theorem_suite_fail_site_is_pinned(monkeypatch, site):
+    name, case_id, fault, failing, digest = FAIL_SITES[site]
+    ideal = next(c.ideal for c in golden_corpus() if c.case_id == case_id)
+    monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+    report = theorem_suite(ideal)
+    assert [r.name for r in report.failures] == failing
+    text = json.dumps(report.to_json())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, text
 
 
 # ---------------------------------------------------------------------------
