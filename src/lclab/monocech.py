@@ -602,8 +602,8 @@ def pattern_report(ideal, i):
 
 def piece_nonzero(ideal, i, n):
     """Whether the coarse-degree-n component of the index-i module is nonzero."""
-    report = pattern_report(ideal, i)
-    return report.shape.contains(n, report.ideal.context.m)
+    m = ideal.context.m
+    return any(c.degree_range_contains(n, m) for c in cohomology_profile(ideal).contributors(i))
 
 
 # ---------------------------------------------------------------------------

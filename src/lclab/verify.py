@@ -77,13 +77,14 @@ def _mask_exponent_sums(generators):
 
 def _tables(mask_sums, bound, values):
     """Witness tables for multidegrees with every α_v ≥ −bound, holding for
-    each coordinate v the rows of the values in ``values[v]``.
+    each coordinate v the rows of the negative values in ``values[v]``;
+    a nonnegative coordinate reads no row.
 
     Every row is a bitset whose bit σ stands for the generator subset σ,
     with product exponent vector e.  For coordinate v and value a,
     ``rows[v][a + bound]`` holds two rows per power t ∈ 0..bound: the
-    subsets with e_v > 0 and ceil(−a / e_v) ≤ t (all of them when a ≥ 0,
-    which puts no limit on t), and the subsets with a + t·e_v ≥ 0.
+    subsets with e_v > 0 and ceil(−a / e_v) ≤ t, and the subsets with
+    a + t·e_v ≥ 0.
     ``positive[v]`` holds the subsets with e_v > 0.
     """
     full = (1 << len(mask_sums)) - 1
@@ -98,7 +99,7 @@ def _tables(mask_sums, bound, values):
         rows.append({})
         for a in wanted:
             least = [
-                sum(s for ev, s in classes if a >= 0 or ev > 0 and (ev - a - 1) // ev <= t)
+                sum(s for ev, s in classes if ev > 0 and (ev - a - 1) // ev <= t)
                 for t in powers
             ]
             reach = [sum(s for ev, s in classes if a + t * ev >= 0) for t in powers]
@@ -108,9 +109,9 @@ def _tables(mask_sums, bound, values):
 
 
 def _witness_tables(mask_sums, bound):
-    """Tables holding the rows of every value in [−bound, bound], for a
-    sweep over the box of that bound."""
-    return _tables(mask_sums, bound, [range(-bound, bound + 1)] * len(mask_sums[0]))
+    """Tables holding the rows of every negative value down to −bound, the
+    only rows a sweep over the box of that bound reads."""
+    return _tables(mask_sums, bound, [range(-bound, 0)] * len(mask_sums[0]))
 
 
 def _alive_by_divisibility(tables, alpha):

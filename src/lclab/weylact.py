@@ -13,7 +13,6 @@ extraction exact and fast.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .exactlin import kernel_basis, pivot_columns, rank_fraction_rows, solve_columns
@@ -55,33 +54,21 @@ class KoszulConvention:
 
 
 # ---------------------------------------------------------------------------
-# small exact-rational matrix helpers (rows of Fractions)
+# small exact matrix helpers (integer rows, rational only after a solve)
 # ---------------------------------------------------------------------------
 
 
 def _zero_rows(nr, nc):
-    return [[Fraction(0)] * nc for _ in range(nr)]
-
-
-def _identity_rows(n):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    return [[0] * nc for _ in range(nr)]
 
 
 def _scaled_identity(n, c):
-    c = Fraction(c)
-    return [[c if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    return [[c if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _matmul(a, b, out_cols):
     """a @ b with explicit column count so empty factors keep their shape."""
-    if not b:
-        return _zero_rows(len(a), out_cols)
-    out = []
-    for row in a:
-        out.append(
-            [sum((row[t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(out_cols)]
-        )
-    return out
+    return [[sum(row[t] * b[t][j] for t in range(len(b))) for j in range(out_cols)] for row in a]
 
 
 def _mat_add(a, b):
@@ -116,7 +103,7 @@ class PatternModulePresentation:
         """Matrix of multiplication by v across the wall α_v = −1.
 
         Maps the piece at ``pattern`` (which contains v) to the piece at
-        pattern ∖ {v}; rows of exact rationals.
+        pattern ∖ {v}; integer rows, rational only after a solve.
         """
         raise NotImplementedError
 
@@ -137,7 +124,7 @@ class PatternModulePresentation:
         pattern = self.context.sign_pattern(alpha)
         if alpha[v] == -1:
             return self.mult_crossing(pattern, v)
-        return _identity_rows(self.pattern_dim(pattern))
+        return _scaled_identity(self.pattern_dim(pattern), 1)
 
     def derham_transition(self, alpha, v):
         """Derivative along a degree-1 variable: piece(α) → piece(α − e_v).
@@ -192,7 +179,7 @@ class LocalizationModule(PatternModulePresentation):
         src = self.pattern_dim(pattern)
         tgt = self.pattern_dim(pattern - {v})
         if src and tgt:
-            return [[Fraction(1)]]
+            return [[1]]
         return _zero_rows(tgt, src)
 
     def __repr__(self):
@@ -331,26 +318,13 @@ class LocalCohomologyModule(PatternModulePresentation):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_of(rows):
-    """c when the nonzero matrix rows is c times a square identity, else None."""
-    c = rows[0][0]
-    for r, row in enumerate(rows):
-        if len(row) != len(rows):
-            return None
-        for t, x in enumerate(row):
-            if x != (c if t == r else 0):
-                return None
-    return c
-
-
 def _euler_matrix(module, alpha):
-    """Σ X_v ∂_v on piece(α), as the product of the derivative and the
-    multiplication back along each degree-1 variable.
+    """Σ X_v ∂_v on piece(α): over each degree-1 variable, the product of
+    the derivative and the multiplication back, summed on integer rows.
 
-    Off the wall both factors are scalar identities, so those terms add
-    c·c′ on the diagonal without a matrix product.  The wall crossing
-    back is only reached at α_v = 0, where the derivative is zero, so a
-    zero derivative skips the term before the crossing is built."""
+    The wall crossing back, rational only after its solve, is only reached
+    at α_v = 0, where the derivative is zero, so a zero derivative skips
+    the term before the crossing is built."""
     ctx = module.context
     dim = module.piece_dim(alpha)
     total = _zero_rows(dim, dim)
@@ -360,14 +334,7 @@ def _euler_matrix(module, alpha):
             continue
         alpha_down = tuple(a - 1 if t == v else a for t, a in enumerate(alpha))
         back = module.transition(alpha_down, v)
-        if not any(any(row) for row in back):
-            continue
-        c, c_down = _scalar_of(back), _scalar_of(down)
-        if c is None or c_down is None:
-            total = _mat_add(total, _matmul(back, down, dim))
-        else:
-            for r in range(dim):
-                total[r][r] += c * c_down
+        total = _mat_add(total, _matmul(back, down, dim))
     return total
 
 
@@ -433,6 +400,14 @@ def _remaining_count(ctx, v, pattern, n):
     return degree_count(y_count, m, k, n)
 
 
+def _wall_sum(contributions):
+    """(dim H1, dim H0) from (which, pattern, weight, count) wall contributions."""
+    h = {"H1": DimValue(0), "H0": DimValue(0)}
+    for which, _pattern, weight, count in contributions:
+        h[which] = h[which] + count.scaled(weight)
+    return h["H1"], h["H0"]
+
+
 def koszul_contributions(module, v, n):
     """Wall-by-wall contributions to (H1, H0) of multiplication by v at
     coarse degree n, per KoszulConvention.
@@ -463,14 +438,7 @@ def koszul_homology_X(module, v, n):
     cokernel at M_n).  Works for either variable block; the name keeps the
     degree-1 case, the main one, in front.
     """
-    h1 = DimValue(0)
-    h0 = DimValue(0)
-    for which, _pattern, weight, count in koszul_contributions(module, v, n):
-        if which == "H1":
-            h1 = h1 + count.scaled(weight)
-        else:
-            h0 = h0 + count.scaled(weight)
-    return h1, h0
+    return _wall_sum(koszul_contributions(module, v, n))
 
 
 def derham_contributions(module, v, n):
@@ -493,14 +461,7 @@ def derham_contributions(module, v, n):
 
 def derham_homology(module, v, n):
     """(dim H1, dim H0) of the derivative along v at coarse degree n."""
-    h1 = DimValue(0)
-    h0 = DimValue(0)
-    for which, _pattern, weight, count in derham_contributions(module, v, n):
-        if which == "H1":
-            h1 = h1 + count.scaled(weight)
-        else:
-            h0 = h0 + count.scaled(weight)
-    return h1, h0
+    return _wall_sum(derham_contributions(module, v, n))
 
 
 def four_term_check(module, v, kind, n):

@@ -425,6 +425,27 @@ def test_piece_nonzero_frozen():
     assert not piece_nonzero(CROSS, 2, -1)
 
 
+def test_piece_nonzero_matches_the_report_without_building_one(monkeypatch):
+    real_report = monocech.pattern_report
+    reports = []
+
+    def counting_report(ideal, i):
+        reports.append((ideal, i))
+        return real_report(ideal, i)
+
+    monkeypatch.setattr(monocech, "pattern_report", counting_report)
+    checked = 0
+    for ideal in [*exhaustive_ideals(3), *random_battery(count=60, seed=5)]:
+        m = ideal.context.m
+        for i in range(len(ideal.generators) + 2):
+            shape = real_report(ideal, i).shape
+            for n in range(-m - 3, 4):
+                assert piece_nonzero(ideal, i, n) == shape.contains(n, m), (ideal, i, n)
+                checked += 1
+    assert checked > 1000
+    assert not reports
+
+
 # ---------------------------------------------------------------------------
 # dimensions
 # ---------------------------------------------------------------------------

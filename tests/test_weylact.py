@@ -444,6 +444,33 @@ def test_euler_matrix_matches_the_full_products():
     assert checked > 1000
 
 
+def test_maps_off_the_crossings_are_integer_rows():
+    modules = [
+        LocalCohomologyModule(ideal, i)
+        for ideal in exhaustive_ideals(3)
+        for i in range(len(ideal.generators) + 1)
+    ] + [
+        LocalizationModule(ctx, inverted)
+        for ctx in (CTX1, CTX2, CTX_MIX)
+        for r in range(ctx.nvars + 1)
+        for inverted in combinations(range(ctx.nvars), r)
+    ]
+    checked = 0
+    for module in modules:
+        ctx = module.context
+        for alpha in verify._box(2, ctx.nvars):
+            if not module.piece_dim(alpha):
+                continue
+            maps = [module.transition(alpha, v) for v in range(ctx.nvars) if alpha[v] != -1]
+            maps += [module.derham_transition(alpha, v) for v in sorted(ctx.x_indices)]
+            maps.append(weylact._euler_matrix(module, alpha))
+            assert all(type(x) is int for rows in maps for row in rows for x in row), (
+                module, alpha,
+            )
+            checked += 1
+    assert checked > 1000
+
+
 def test_euler_check_builds_no_crossings(monkeypatch):
     # the crossing is only reached at α_v = 0, where the derivative is zero
     crossings = Counter()
