@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .exactlin import (
@@ -63,7 +63,11 @@ class ShapeViolationError(AssertionError):
 
 @dataclass(frozen=True)
 class VariableContext:
-    """Named variables with the (0,1)-degree split: deg0 = Y block, deg1 = X block."""
+    """Named variables with the (0,1)-degree split: deg0 = Y block, deg1 = X block.
+
+    The attributes derived from the two blocks are computed on first read
+    and kept; equality, hash and repr read only ``deg0`` and ``deg1``.
+    """
 
     deg0: tuple
     deg1: tuple
@@ -79,27 +83,27 @@ class VariableContext:
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
 
-    @property
+    @cached_property
     def d(self):
         return len(self.deg0)
 
-    @property
+    @cached_property
     def m(self):
         return len(self.deg1)
 
-    @property
+    @cached_property
     def names(self):
         return self.deg0 + self.deg1
 
-    @property
+    @cached_property
     def nvars(self):
         return self.d + self.m
 
-    @property
+    @cached_property
     def y_indices(self):
         return frozenset(range(self.d))
 
-    @property
+    @cached_property
     def x_indices(self):
         return frozenset(range(self.d, self.d + self.m))
 
@@ -126,10 +130,11 @@ class MonomialIdeal:
     Exponents are kept as written (for display and for the brute-force
     oracle); everything cohomological only reads the squarefree supports.
     The normal form is kept on the ideal once ``normalize`` has computed
-    it; the ideal is immutable, so it never goes stale.
+    it, and its hash from the start; the ideal is immutable, so neither
+    goes stale.
     """
 
-    __slots__ = ("context", "generators", "_supports", "_normal")
+    __slots__ = ("context", "generators", "_supports", "_normal", "_hash")
 
     def __init__(self, context, generators):
         generators = tuple(tuple(int(e) for e in g) for g in generators)
@@ -148,6 +153,7 @@ class MonomialIdeal:
             frozenset(v for v, e in enumerate(g) if e > 0) for g in generators
         )
         self._normal = None
+        self._hash = hash((context, generators))
 
     @property
     def supports(self):
@@ -159,7 +165,7 @@ class MonomialIdeal:
         return self.context == other.context and self.generators == other.generators
 
     def __hash__(self):
-        return hash((self.context, self.generators))
+        return self._hash
 
     def __repr__(self):
         return f"MonomialIdeal({', '.join(self.render_generator(j) for j in range(len(self.generators)))})"

@@ -3,14 +3,17 @@
 The oracle rebuilds the covering complex at one multidegree at a time,
 deciding which localizations are nonzero there by explicit divisibility
 witnesses — deliberately not by the sign-pattern rule — so agreement
-with the pattern engine is a genuine two-route check.  Every point of
-the box is evaluated and every generator subset gets its least witness
-and its componentwise check there, for all subsets at once: an alive
-family is an int bitset over generator subsets, and per-coordinate
-witness tables, built once per ideal and box bound (a single point
-builds only the rows it reads), are ANDed over the negative coordinates
-of each multidegree.  Between points only those tables and the rank
-cache keyed by the alive family are carried.  On top of it sit a battery
+with the pattern engine is a genuine two-route check.  Both routes read
+only the negative coordinates of a multidegree, so the box sweep
+decides each class of points sharing their negative coordinates once
+and weighs it by the class's size.  At each point decided, every
+generator subset gets its least witness and its componentwise check,
+for all subsets at once: an alive family is an int bitset over
+generator subsets, and per-coordinate witness tables, built once per
+ideal and box bound (a single point builds only the rows it reads), are
+ANDed over the negative coordinates of the multidegree.  Between points
+only those tables and the rank cache keyed by the alive family are
+carried.  On top of it sit a battery
 of named structural checks and a built-in corpus of worked examples with
 frozen expectations.  Each check's law is stated once, in the table
 ``_LAWS`` keyed by check name, and every pass, fail and skip record of
@@ -277,9 +280,17 @@ def oracle_compare(ideal, bound=2):
     multidegree in [−bound, bound]^nvars and every index from −1 to one
     past the top, so both routes must also read 0 outside the complex.
 
-    The two rank vectors are compared once per point, the engine's padded
-    with zeros to the oracle's length; only where they differ are the
-    indices walked to count and locate the mismatches."""
+    Both routes read only the negative coordinates of a point: the oracle
+    ANDs rows for them alone and the engine looks up the pattern they
+    form.  So each class of points sharing their negative coordinates is
+    decided once, at its representative with every nonnegative coordinate
+    0, and a mismatch there weighs the (bound+1)^k points of the class,
+    k the representative's zero coordinates.  The representative is the
+    class's first point in box order, and representatives come in box
+    order, so the count and the first witness are those of a walk over
+    every point.  The two rank vectors are compared once per class, the
+    engine's padded with zeros to the oracle's length; only where they
+    differ are the indices walked to count and locate the mismatches."""
     if bound < 2:
         raise ValueError("bound must be at least 2")
     ctx = ideal.context
@@ -292,21 +303,18 @@ def oracle_compare(ideal, bound=2):
         sum(1 << v for v in pattern): ranks + zeros[len(ranks) :]
         for pattern, ranks in profile.by_pattern.items()
     }
-    # per point, the bit of each negative coordinate, in box order
-    negative_bits = product(
-        *([1 << v if a < 0 else 0 for a in range(-bound, bound + 1)] for v in range(ctx.nvars))
-    )
     mismatch_count, first = 0, None
-    for alpha, bits in zip(_box(bound, ctx.nvars), negative_bits):
+    for alpha in product(range(-bound, 1), repeat=ctx.nvars):
         dims = _cech_dims(_alive_by_divisibility(tables, alpha), g_raw)
-        ranks = engine.get(sum(bits), zeros)
+        ranks = engine.get(sum(1 << v for v, a in enumerate(alpha) if a), zeros)
         if dims == ranks:
             continue
+        weight = (bound + 1) ** alpha.count(0)
         for i in range(-1, top + 2):
             oracle = dims[i] if 0 <= i < len(dims) else 0
             other = ranks[i] if 0 <= i < len(ranks) else 0
             if oracle != other:
-                mismatch_count += 1
+                mismatch_count += weight
                 if first is None:
                     first = (alpha, i, oracle, other)
 
@@ -505,6 +513,13 @@ def _check_localization_route(ideal, report):
 
 
 def _check_euler(ideal, shapes, report):
+    """The degree operator Σ X_v ∂_v on two multidegrees of each pattern
+    must act as the coarse degree, with Eulerian exponent one.
+
+    It reads only off-wall transitions: a term with a nonzero derivative
+    needs α_v ≠ 0, so its multiplication back starts at α_v − 1 ≠ −1 and
+    never crosses the wall.  The check therefore re-adds the coarse
+    degree and cannot see a fault in a wall crossing."""
     norm = normalize(ideal)
     nvars = norm.context.nvars
     for i, shape in shapes.items():
@@ -531,7 +546,7 @@ def _check_euler(ideal, shapes, report):
     report.record("euler-diagonal", "pass")
 
 
-_ORACLE_SUITE_MAX_NVARS = 5  # box size (2·2+1)^nvars stays around 3k points
+_ORACLE_SUITE_MAX_NVARS = 5  # the sweep decides (2+1)^nvars classes, 243 at five
 
 
 def theorem_suite(ideal):

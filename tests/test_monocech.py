@@ -71,6 +71,40 @@ def test_context_validation():
     assert CTX_MIXED.sign_pattern((0, -2, -1)) == frozenset({1, 2})
 
 
+def test_cached_context_attributes_keep_value_semantics():
+    names = (("Y1", "Y2"), ("X1", "X2", "X3"))
+    read, fresh = VariableContext(*names), VariableContext(*names)
+    derived = ("d", "m", "names", "nvars", "y_indices", "x_indices")
+    values = {attr: getattr(read, attr) for attr in derived}
+    # computed once: a second read returns the same object
+    assert all(getattr(read, attr) is values[attr] for attr in derived)
+    assert values == {
+        "d": len(read.deg0),
+        "m": len(read.deg1),
+        "names": read.deg0 + read.deg1,
+        "nvars": len(read.deg0) + len(read.deg1),
+        "y_indices": frozenset(range(len(read.deg0))),
+        "x_indices": frozenset(range(len(read.deg0), len(read.deg0) + len(read.deg1))),
+    }
+    # equality, hash and repr still see only the two blocks
+    assert read == fresh and read is not fresh
+    assert hash(read) == hash(fresh) == hash(names)
+    expected = "VariableContext(deg0=('Y1', 'Y2'), deg1=('X1', 'X2', 'X3'))"
+    assert repr(read) == repr(fresh) == expected
+    assert read != VariableContext(("Y1",), ("Y2", "X1", "X2", "X3"))
+    with pytest.raises(AttributeError):
+        read.deg0 = ()
+
+
+def test_ideal_hash_is_kept_and_keys_the_profile_cache():
+    gens = [(2, 1, 0), (1, 0, 3), (3, 3, 3)]
+    first, second = MonomialIdeal(CTX_MIXED, gens), MonomialIdeal(CTX_MIXED, gens)
+    assert first == second and first is not second
+    assert hash(first) == hash(second) == hash((CTX_MIXED, first.generators))
+    assert hash(MIXED) == hash((MIXED.context, MIXED.generators))
+    assert cohomology_profile(first) is cohomology_profile(second)
+
+
 def test_ideal_validation():
     with pytest.raises(ValueError):
         MonomialIdeal(CTX_X2, [])

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
@@ -161,6 +162,34 @@ def test_alive_by_divisibility_raises_past_its_tables():
     mask_sums = verify._mask_exponent_sums([(1, 0), (0, 1)])
     with pytest.raises(ValueError, match="beyond the tables"):
         verify._alive_by_divisibility(verify._witness_tables(mask_sums, 2), (-3, 0))
+
+
+def _raw_generator_lists(count, seed):
+    """Generator exponent vectors as written, up to four variables and
+    exponent 3; most are not squarefree and many carry redundant
+    generators."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        nvars = rng.randint(1, 4)
+        gens = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(1, 4))]
+        if all(any(g) for g in gens):
+            out.append(gens)
+    return out
+
+
+def test_alive_family_ignores_nonnegative_coordinates():
+    # the oracle sweep decides each class of box points sharing their
+    # negative coordinates once, at the point with the others set to 0
+    raw = _raw_generator_lists(60, seed=3)
+    assert sum(max(map(max, gens)) > 1 for gens in raw) > len(raw) // 2
+    for generators in [ideal.generators for ideal in exhaustive_ideals(3)] + raw:
+        tables = verify._witness_tables(verify._mask_exponent_sums(generators), 2)
+        for alpha in verify._box(2, len(generators[0])):
+            clipped = tuple(min(a, 0) for a in alpha)
+            assert verify._alive_by_divisibility(tables, alpha) == verify._alive_by_divisibility(
+                tables, clipped
+            ), (generators, alpha)
 
 
 def test_oracle_compare_reports_a_rank_off_by_one(monkeypatch):
