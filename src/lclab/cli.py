@@ -491,8 +491,8 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_cohomdeg(sub, required=True):
-    sub.add_argument("-i", "--cohomdeg", type=int, required=required, metavar="I",
+def _add_cohomdeg(sub):
+    sub.add_argument("-i", "--cohomdeg", type=int, required=True, metavar="I",
                      help="cohomological index")
 
 

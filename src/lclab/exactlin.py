@@ -378,9 +378,10 @@ def rank_fraction_rows(rows):
 def solve_columns(columns, target):
     """Solve sum_j x_j * columns[j] == target for integer columns and target.
 
-    Returns the coefficients as Fractions (zero on every column that is
-    not a pivot column), or None if the system is inconsistent.  Columns
-    must be linearly independent for the answer to be unique.
+    Returns the coefficients as Fractions, or None if the system is
+    inconsistent.  The columns are to be linearly independent, so that a
+    consistent system has exactly one answer; were they not, the answer
+    given would be the one that is zero on every non-pivot column.
     """
     k = len(columns)
     aug = [[col[i] for col in columns] + [t] for i, t in enumerate(target)]

@@ -21,10 +21,12 @@ gives
     h^i(P) = H̃^{|P|−i−1}(D_P).
 
 The non-faces of K|_P are the complements of the faces of D_P, so the
-two face counts add up to 2^|P|; D_P is enumerated until it is known to
-be the larger side, and K|_P is built only then.  The generator-side
+two face counts add up to 2^|P|.  Each pattern's faces are enumerated
+once, on one side: the search of D_P lists its faces until it knows D_P
+is the larger side, and only then are K|_P's facets expanded into
+faces; the complex is built from that face list.  The generator-side
 slices (slice_complex, slice_basis) serve only the wall crossings; they
-and the window oracle's _cech_dims build through _complex_from_alive,
+and the window oracle's _cech_dims build through _complex_from_basis,
 which the profile never calls.  From the profile this module derives
 nonvanishing shapes, dimensions, Hilbert data, localizations and supports.
 """
@@ -271,11 +273,13 @@ def _basis_from_alive(alive, g):
     return basis
 
 
-def _complex_from_alive(alive, g):
-    basis = _basis_from_alive(alive, g)
+def _complex_from_basis(basis):
+    """The Čech complex on per-level generator subsets (as _basis_from_alive
+    lists them); the differential carries the usual (−1)^position signs
+    under the fixed generator order."""
     index = [{sigma: col for col, sigma in enumerate(level)} for level in basis]
     diffs = []
-    for p in range(g):
+    for p in range(len(basis) - 1):
         entries = {}
         for row, tau in enumerate(basis[p + 1]):
             for t in range(len(tau)):
@@ -295,26 +299,21 @@ def _cech_dims(alive, g):
     Keyed only by the alive family so distinct multidegrees (and distinct
     ideals) with the same combinatorics share one rank computation.
     """
-    return cohomology_dims(_complex_from_alive(alive, g))
-
-
-def slice_complex(ideal, pattern):
-    """The finite complex seen at any multidegree with sign pattern ``pattern``.
-
-    Level p has one basis element per p-subset σ of the generators with
-    pattern ⊆ supp(m_σ); the differential carries the usual (−1)^position
-    signs under the fixed generator order.
-    """
-    ideal = normalize(ideal)
-    g = len(ideal.supports)
-    return _complex_from_alive(_alive_masks(ideal.supports, frozenset(pattern)), g)
+    return cohomology_dims(_complex_from_basis(_basis_from_alive(alive, g)))
 
 
 def slice_basis(ideal, pattern):
-    """Per-level generator subsets underlying slice_complex, in basis order."""
+    """Per-level basis of the slice at sign pattern ``pattern``: level p
+    lists the p-subsets σ of the generators with pattern ⊆ supp(m_σ), in
+    lexicographic order."""
     ideal = normalize(ideal)
-    g = len(ideal.supports)
-    return _basis_from_alive(_alive_masks(ideal.supports, frozenset(pattern)), g)
+    return _basis_from_alive(_alive_masks(ideal.supports, frozenset(pattern)), len(ideal.supports))
+
+
+def slice_complex(ideal, pattern):
+    """The finite complex seen at any multidegree with sign pattern
+    ``pattern``, on the basis slice_basis lists."""
+    return _complex_from_basis(slice_basis(ideal, pattern))
 
 
 class CohomologyProfile:
@@ -382,25 +381,18 @@ def _is_cone(facets):
     return common != 0
 
 
-def _link_complex(facets):
-    """Augmented simplicial cochain complex of the complex spanned by facets
-    (K|_P or its Alexander dual D_P).
+def _link_complex(faces):
+    """Augmented simplicial cochain complex of a simplicial complex given by
+    all of its faces, each once, as bitmasks (K|_P or its Alexander dual
+    D_P).
 
     Level p holds the faces with p vertices (level 0 is the empty face),
     each level in increasing mask order; the coboundary carries the sign
     (−1)^t for the t-th vertex of a face in increasing order.  Kept apart
-    from _complex_from_alive, through which the crossings and the window
+    from _complex_from_basis, through which the crossings and the window
     oracle build, so the profile and the oracle share no complex code.
     """
-    faces = set()
-    for f in facets:
-        sub = f
-        while True:
-            faces.add(sub)
-            if not sub:
-                break
-            sub = (sub - 1) & f
-    levels = [[] for _ in range(max(f.bit_count() for f in facets) + 1)]
+    levels = [[] for _ in range(max(f.bit_count() for f in faces) + 1)]
     for q in sorted(faces):
         levels[q.bit_count()].append(q)
     index = [{q: col for col, q in enumerate(level)} for level in levels]
@@ -418,13 +410,14 @@ def _link_complex(facets):
     return FiniteComplex([len(level) for level in levels], diffs)
 
 
-def _dual_facets(support_masks, pattern_mask, cap):
-    """Facets of the Alexander dual D_P = {S ⊆ P : no supp_j ∩ P lies in S},
-    or None once D_P has more than ``cap`` faces.
+def _dual_faces(support_masks, pattern_mask, cap):
+    """Every face of the Alexander dual D_P = {S ⊆ P : no supp_j ∩ P lies
+    in S}, each once, or None once D_P has more than ``cap`` faces.
 
-    One depth-first search over the vertices of P, in increasing order,
-    grows a face only while it contains no minimal restricted support; a
-    new vertex can only complete a support that contains it.
+    One depth-first search over the vertices of P, adding them in
+    increasing order, grows a face only while it contains no minimal
+    restricted support; a new vertex can only complete a support that
+    contains it.
     """
     restricted = {s & pattern_mask for s in support_masks}
     minimal = [r for r in restricted if not any(t != r and t & r == t for t in restricted)]
@@ -443,8 +436,7 @@ def _dual_facets(support_masks, pattern_mask, cap):
                 if len(faces) > cap:
                     return None
                 stack.append((grown, rest))
-    found = set(faces)
-    return [f for f in faces if all(f | b not in found for b in bits if not f & b)]
+    return faces
 
 
 @lru_cache(maxsize=1024)
@@ -464,10 +456,17 @@ def _profile_normalized(ideal):
             # |K|_P| = 2^r − |D_P|; the union bound over the facets also
             # caps |K|_P|.  D_P is used when it has at most as many faces.
             cap = min(1 << (r - 1), 1 + sum((1 << f.bit_count()) - 1 for f in facets))
-            dual = _dual_facets(masks, pattern_mask, cap)
+            dual = _dual_faces(masks, pattern_mask, cap)
             if dual is None:
+                # K|_P's faces are the subsets of its facets;
                 # h^i(P) = H̃^{i-2}(K|_P), and H̃^{i-2} sits at index i-1
-                dims = (0,) + cohomology_dims(_link_complex(facets))
+                faces = {0}
+                for f in facets:
+                    sub = f
+                    while sub:
+                        faces.add(sub)
+                        sub = (sub - 1) & f
+                dims = (0,) + cohomology_dims(_link_complex(faces))
             else:
                 # h^i(P) = H̃^{r-i-1}(D_P), and H̃^{r-i-1} sits at index r-i
                 found = cohomology_dims(_link_complex(dual))
@@ -711,14 +710,9 @@ def piece_dimension(ideal, i, n):
     coefficient ring and K-dimension is the wrong measure; use
     strand_dimension with a pinned Y-multidegree instead.
     """
-    ideal = normalize(ideal)
-    ctx = ideal.context
-    if ctx.d != 0:
+    if ideal.context.d != 0:
         raise ValueError("piece_dimension needs d = 0; use strand_dimension for d >= 1")
-    total = DimValue(0)
-    for c in cohomology_profile(ideal).contributors(i):
-        total = total + x_lattice_count(ctx.m, c.k, n).scaled(c.rank)
-    return total
+    return strand_dimension(ideal, i, (), n)
 
 
 def strand_dimension(ideal, i, y_part, n):

@@ -270,11 +270,6 @@ def _repro(ideal, **extra):
 # ---------------------------------------------------------------------------
 
 
-def _box(bound, nvars):
-    """Every point of [−bound, bound]^nvars, in lexicographic order."""
-    return product(range(-bound, bound + 1), repeat=nvars)
-
-
 def oracle_compare(ideal, bound=2):
     """Compare the divisibility oracle with the pattern engine at every
     multidegree in [−bound, bound]^nvars and every index from −1 to one

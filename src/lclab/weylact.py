@@ -18,11 +18,11 @@ from itertools import combinations
 from .exactlin import kernel_basis, pivot_columns, rank_fraction_rows, solve_columns
 from .monocech import (
     DimValue,
+    _complex_from_basis,
     cohomology_profile,
     degree_count,
     normalize,
     slice_basis,
-    slice_complex,
     x_lattice_count,
 )
 
@@ -84,13 +84,14 @@ class PatternModulePresentation:
     """Base for modules with pattern-indexed pieces and wall transitions.
 
     Subclasses provide ``pattern_dim``, ``patterns`` and the crossing
-    matrices; everything else (generic transitions, derivatives, coarse
-    dimensions) is derived here.
+    matrices; everything else (crossing ranks, generic transitions,
+    derivatives, coarse dimensions) is derived here.
     """
 
     def __init__(self, context):
         self.context = context
         self._euler = None  # (α, Euler matrix) of the last α checked
+        self._ranks = {}  # (pattern, v) -> rank of mult_crossing(pattern, v)
 
     def pattern_dim(self, pattern):
         raise NotImplementedError
@@ -108,8 +109,13 @@ class PatternModulePresentation:
         raise NotImplementedError
 
     def crossing_rank(self, pattern, v):
-        """Rank of mult_crossing(pattern, v)."""
-        return rank_fraction_rows(self.mult_crossing(pattern, v))
+        """Rank of mult_crossing(pattern, v), computed once per (pattern, v):
+        a crossing does not depend on the degree, so every degree of a
+        homology query reads the same rank."""
+        key = (frozenset(pattern), v)
+        if key not in self._ranks:
+            self._ranks[key] = rank_fraction_rows(self.mult_crossing(*key))
+        return self._ranks[key]
 
     def piece_dim(self, alpha):
         return self.pattern_dim(self.context.sign_pattern(alpha))
@@ -189,8 +195,9 @@ class LocalizationModule(PatternModulePresentation):
 
 
 class _SliceData:
-    """Cohomology bookkeeping for one pattern: cycle representatives on top
-    of the boundary space, in the alive-subset basis of the middle level."""
+    """Cohomology bookkeeping for one pattern: a basis of the boundary space
+    and cycle representatives on top of it, in the alive-subset basis of
+    the middle level."""
 
     __slots__ = ("level_basis", "boundary_cols", "reps")
 
@@ -209,11 +216,10 @@ class LocalCohomologyModule(PatternModulePresentation):
     representative through the chain-level inclusion of alive subsets and
     re-expressing it modulo boundaries in the target basis.
 
-    A crossing depends only on (pattern, v), not on the degree, so each is
-    built once and kept on the module next to the per-pattern slice data,
-    and so is its rank once a homology query has asked for it; every query
-    over a degree range reads the same matrices and ranks.  Callers get a
-    fresh copy of the rows.
+    Each pattern's slice data is computed once and kept on the module, and
+    so is each crossing's rank (in the base class).  A crossing matrix is
+    built from the slice data whenever it is asked for and belongs to the
+    caller; the homology queries read only ranks.
     """
 
     def __init__(self, ideal, i):
@@ -225,8 +231,6 @@ class LocalCohomologyModule(PatternModulePresentation):
         self.i = i
         self.profile = cohomology_profile(ideal)
         self._data = {}
-        self._crossings = {}
-        self._ranks = {}
 
     def pattern_dim(self, pattern):
         return self.profile.h(pattern, self.i)
@@ -239,24 +243,23 @@ class LocalCohomologyModule(PatternModulePresentation):
         if pattern in self._data:
             return self._data[pattern]
         i = self.i
-        complex_ = slice_complex(self.ideal, pattern)
         basis = slice_basis(self.ideal, pattern)
+        diffs = _complex_from_basis(basis).diffs
         level = basis[i] if i < len(basis) else []
         c_i = len(level)
-        if i < len(complex_.diffs):
-            cycles = kernel_basis(complex_.diffs[i])
+        if i < len(diffs):
+            cycles = kernel_basis(diffs[i])
         else:
             # top level: everything is a cycle
             cycles = [[1 if t == s else 0 for t in range(c_i)] for s in range(c_i)]
-        boundary_cols = []
-        if i >= 1 and i - 1 < len(complex_.diffs):
-            d_prev = complex_.diffs[i - 1].to_rows()
-            for j in range(complex_.diffs[i - 1].ncols):
-                boundary_cols.append([row[j] for row in d_prev])
-        # a cycle is a new class exactly when it is outside the span of
-        # the boundaries and the cycles before it
-        nb = len(boundary_cols)
-        reps = [cycles[p - nb] for p in pivot_columns(boundary_cols + cycles) if p >= nb]
+        boundaries = diffs[i - 1].transpose().to_rows() if 1 <= i <= len(diffs) else []
+        # a column counts when it is outside the span of the columns before
+        # it: the boundaries that count are a basis of the boundary space,
+        # and the cycles that count are the new classes
+        nb = len(boundaries)
+        pivots = pivot_columns(boundaries + cycles)
+        boundary_cols = [boundaries[p] for p in pivots if p < nb]
+        reps = [cycles[p - nb] for p in pivots if p >= nb]
         if len(reps) != self.pattern_dim(pattern):
             raise AssertionError(
                 f"cohomology basis size {len(reps)} disagrees with rank count "
@@ -270,19 +273,6 @@ class LocalCohomologyModule(PatternModulePresentation):
         pattern = frozenset(pattern)
         if v not in pattern:
             raise ValueError("crossing needs the variable negative on the source side")
-        rows = self._crossings.get((pattern, v))
-        if rows is None:
-            rows = self._crossings[pattern, v] = self._build_crossing(pattern, v)
-        return [list(row) for row in rows]
-
-    def crossing_rank(self, pattern, v):
-        pattern = frozenset(pattern)
-        rank = self._ranks.get((pattern, v))
-        if rank is None:
-            rank = self._ranks[pattern, v] = super().crossing_rank(pattern, v)
-        return rank
-
-    def _build_crossing(self, pattern, v):
         target = pattern - {v}
         src_dim = self.pattern_dim(pattern)
         tgt_dim = self.pattern_dim(target)

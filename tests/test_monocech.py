@@ -330,6 +330,17 @@ def _dual_faces_by_scan(masks, pattern_mask):
     return faces
 
 
+def _link_faces_by_scan(masks, pattern_mask):
+    """Faces of K|_P = {S ⊆ P : some supp_j misses S}, from all 2^|P| subsets."""
+    bits = [1 << v for v in range(pattern_mask.bit_length()) if pattern_mask >> v & 1]
+    faces = set()
+    for choice in range(1 << len(bits)):
+        s = sum(b for j, b in enumerate(bits) if choice >> j & 1)
+        if any(not m & s for m in masks):
+            faces.add(s)
+    return faces
+
+
 def _assert_sides_agree(ideal):
     supports = normalize(ideal).supports
     masks = [sum(1 << v for v in s) for s in supports]
@@ -337,14 +348,13 @@ def _assert_sides_agree(ideal):
     for r in range(1, len(union) + 1):
         for subset in combinations(union, r):
             pattern_mask = sum(1 << v for v in subset)
-            facets = _link_facets(masks, pattern_mask)
-            if _is_cone(facets):
+            if _is_cone(_link_facets(masks, pattern_mask)):
                 continue
-            faces = _dual_faces_by_scan(masks, pattern_mask)
-            by_scan = [s for s in faces if not any(t != s and t & s == s for t in faces)]
-            # with room for every subset of P the search finds the same facets
-            assert sorted(monocech._dual_facets(masks, pattern_mask, 1 << r)) == sorted(by_scan)
-            link = cohomology_dims(_link_complex(facets))
+            by_scan = _dual_faces_by_scan(masks, pattern_mask)
+            # with room for every subset of P the search lists every face once
+            found = monocech._dual_faces(masks, pattern_mask, 1 << r)
+            assert len(found) == len(by_scan) and set(found) == by_scan, (ideal, subset)
+            link = cohomology_dims(_link_complex(_link_faces_by_scan(masks, pattern_mask)))
             dual = cohomology_dims(_link_complex(by_scan))
             assert len(link) <= r and len(dual) <= r, (ideal, subset)
             # H̃^j(K|_P) sits at index j+1, H̃^{r-j-3}(D_P) at index r-j-2
@@ -374,22 +384,22 @@ def _built_complexes(monkeypatch, ideal, decisions=None):
     is also appended to ``decisions`` as (support masks, pattern mask,
     whether D_P was taken)."""
     cells, sides = [], {"dual": 0, "link": 0}
-    real_complex, real_dual = monocech._link_complex, monocech._dual_facets
+    real_complex, real_dual = monocech._link_complex, monocech._dual_faces
 
-    def counting_complex(facets):
-        complex_ = real_complex(facets)
+    def counting_complex(faces):
+        complex_ = real_complex(faces)
         cells.append(sum(complex_.levels))
         return complex_
 
     def counting_dual(masks, pattern_mask, cap):
-        facets = real_dual(masks, pattern_mask, cap)
-        sides["link" if facets is None else "dual"] += 1
+        faces = real_dual(masks, pattern_mask, cap)
+        sides["link" if faces is None else "dual"] += 1
         if decisions is not None:
-            decisions.append((masks, pattern_mask, facets is not None))
-        return facets
+            decisions.append((masks, pattern_mask, faces is not None))
+        return faces
 
     monkeypatch.setattr(monocech, "_link_complex", counting_complex)
-    monkeypatch.setattr(monocech, "_dual_facets", counting_dual)
+    monkeypatch.setattr(monocech, "_dual_faces", counting_dual)
     _profile_normalized.__wrapped__(normalize(ideal))
     monkeypatch.undo()
     return cells, sides

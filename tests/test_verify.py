@@ -185,7 +185,7 @@ def test_alive_family_ignores_nonnegative_coordinates():
     assert sum(max(map(max, gens)) > 1 for gens in raw) > len(raw) // 2
     for generators in [ideal.generators for ideal in exhaustive_ideals(3)] + raw:
         tables = verify._witness_tables(verify._mask_exponent_sums(generators), 2)
-        for alpha in verify._box(2, len(generators[0])):
+        for alpha in product(range(-2, 3), repeat=len(generators[0])):
             clipped = tuple(min(a, 0) for a in alpha)
             assert verify._alive_by_divisibility(tables, alpha) == verify._alive_by_divisibility(
                 tables, clipped

@@ -1,12 +1,12 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lclab import verify, weylact
+from lclab import monocech, verify, weylact
 from lclab.exactlin import kernel_basis
 from lclab.monocech import (
     INFINITE,
@@ -310,15 +310,18 @@ def test_koszul_infinite_with_witness():
 
 
 # ---------------------------------------------------------------------------
-# crossings are built once per (pattern, v) and shared across degrees
+# slice data and crossing ranks are computed once per module and shared
+# across degrees
 # ---------------------------------------------------------------------------
 
-
-@pytest.mark.parametrize(
+SHARED_IDEALS = pytest.mark.parametrize(
     "ideal",
     [C7, *random_battery(count=12, seed=5)],
     ids=["C7", *(f"battery-5-{t}" for t in range(12))],
 )
+
+
+@SHARED_IDEALS
 def test_shared_module_matches_fresh_modules(ideal):
     ctx = ideal.context
     degrees = range(-4, 5)
@@ -332,6 +335,26 @@ def test_shared_module_matches_fresh_modules(ideal):
                 for n in degrees:
                     fresh = homology(LocalCohomologyModule(ideal, i), v, n)
                     assert homology(shared, v, n) == fresh, (i, v, n, homology.__name__)
+
+
+@SHARED_IDEALS
+def test_crossings_after_a_degree_range_match_a_fresh_module(ideal):
+    ctx = ideal.context
+    checked = 0
+    for i in range(len(ideal.generators) + 1):
+        module = LocalCohomologyModule(ideal, i)
+        for v in range(ctx.nvars):
+            for n in range(-6, 7):
+                koszul_homology_X(module, v, n)
+        for pattern in module.patterns():
+            for v in range(ctx.nvars):
+                source = pattern | {v}
+                fresh = LocalCohomologyModule(ideal, i)
+                assert module.mult_crossing(source, v) == fresh.mult_crossing(source, v), (i, pattern, v)
+                fresh = LocalCohomologyModule(ideal, i)
+                assert module.crossing_rank(source, v) == fresh.crossing_rank(source, v), (i, pattern, v)
+                checked += 1
+    assert checked or not cohomology_profile(ideal).by_pattern
 
 
 def test_mutating_a_crossing_leaves_the_module_intact():
@@ -351,7 +374,7 @@ def test_koszul_over_a_degree_range_builds_each_crossing_once(monkeypatch):
     built = Counter()
     real_solve = weylact.solve_columns
     real_rank = weylact.rank_fraction_rows
-    real_build = LocalCohomologyModule._build_crossing
+    real_build = LocalCohomologyModule.mult_crossing
 
     def counting_solve(columns, target):
         solves.append(target)
@@ -367,7 +390,7 @@ def test_koszul_over_a_degree_range_builds_each_crossing_once(monkeypatch):
 
     monkeypatch.setattr(weylact, "solve_columns", counting_solve)
     monkeypatch.setattr(weylact, "rank_fraction_rows", counting_rank)
-    monkeypatch.setattr(LocalCohomologyModule, "_build_crossing", counting_build)
+    monkeypatch.setattr(LocalCohomologyModule, "mult_crossing", counting_build)
     module = LocalCohomologyModule(C7, 4)
     koszul_homology_X(module, 0, -6)
     after_first_degree = len(solves)
@@ -378,6 +401,26 @@ def test_koszul_over_a_degree_range_builds_each_crossing_once(monkeypatch):
     assert built and set(built.values()) == {1}
     # one rank per (pattern, v) crossing, however many degrees read it
     assert len(ranks) == len(built)
+
+
+@pytest.mark.parametrize(
+    "ideal, i, v", [(C7, 4, 0), (C7, 4, 3), (cycle_ideal(8), 5, 0), (MIXED, 2, 0)], ids=["C7-X1", "C7-X4", "C8-X1", "mixed-Y1"]
+)
+def test_koszul_over_a_degree_range_finds_each_alive_family_once(monkeypatch, ideal, i, v):
+    found = Counter()
+    real_alive = monocech._alive_masks
+
+    def counting_alive(supports, pattern):
+        found[supports, pattern] += 1
+        return real_alive(supports, pattern)
+
+    monkeypatch.setattr(monocech, "_alive_masks", counting_alive)
+    module = LocalCohomologyModule(ideal, i)
+    for n in range(-6, 7):
+        koszul_homology_X(module, v, n)
+    # one alive family per pattern whose slice data the crossings read
+    assert found and set(found.values()) == {1}
+    assert len(found) == len(module._data)
 
 
 def test_euler_check_builds_each_matrix_once(monkeypatch):
@@ -437,7 +480,7 @@ def test_euler_matrix_matches_the_full_products():
     ]
     checked = 0
     for module in modules:
-        for alpha in verify._box(2, module.context.nvars):
+        for alpha in product(range(-2, 3), repeat=module.context.nvars):
             if module.piece_dim(alpha):
                 assert weylact._euler_matrix(module, alpha) == _euler_by_products(module, alpha)
                 checked += 1
@@ -458,7 +501,7 @@ def test_maps_off_the_crossings_are_integer_rows():
     checked = 0
     for module in modules:
         ctx = module.context
-        for alpha in verify._box(2, ctx.nvars):
+        for alpha in product(range(-2, 3), repeat=ctx.nvars):
             if not module.piece_dim(alpha):
                 continue
             maps = [module.transition(alpha, v) for v in range(ctx.nvars) if alpha[v] != -1]
