@@ -158,6 +158,8 @@ def parse_spec(path):
             raw = handle.read()
     except OSError as exc:
         raise CliError(2, f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(2, f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:

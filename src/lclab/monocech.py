@@ -10,13 +10,15 @@ the variable side instead, by Mustaţă's formula: for nonempty P,
     h^i(P) = H̃^{i−2}(K|_P),   K = {Q : some generator support misses Q},
 
 so the work follows the variables in P rather than the subsets of the
-generators.  K|_P is spanned by the maximal sets P∖supp_j; when some
-variable lies in all of them the complex is a cone, hence acyclic, and
-the pattern is skipped without linear algebra.  Every other pattern is
-computed on the smaller side of Alexander duality: the dual of K|_P
-inside P is D_P = {S ⊆ P : no supp_j ∩ P lies in S}, and combinatorial
-Alexander duality (Björner–Tancer, Discrete Comput. Geom. 42, 2009)
-gives
+generators.  Everything about a pattern is read off one list, computed
+once: the minimal restricted supports, the inclusion-minimal sets
+supp_j ∩ P.  The facets of K|_P are the sets P∖r for r in that list, so
+K|_P is a cone, hence acyclic, exactly when some variable of P lies in
+no r, and such a pattern is skipped without linear algebra.  Every other
+pattern is computed on the smaller side of Alexander duality: the dual
+of K|_P inside P is D_P = {S ⊆ P : no supp_j ∩ P lies in S}, the sets
+containing no r, and combinatorial Alexander duality (Björner–Tancer,
+Discrete Comput. Geom. 42, 2009) gives
 
     h^i(P) = H̃^{|P|−i−1}(D_P).
 
@@ -25,9 +27,10 @@ two face counts add up to 2^|P|.  Each pattern's faces are enumerated
 once, on one side: the search of D_P lists its faces until it knows D_P
 is the larger side, and only then are K|_P's facets expanded into
 faces; the complex is built from that face list.  The generator-side
-slices (slice_complex, slice_basis) serve only the wall crossings; they
-and the window oracle's _cech_dims build through _complex_from_basis,
-which the profile never calls.  From the profile this module derives
+slices (slice_complex, slice_basis) serve only the wall crossings; their
+alive family is an AND of one cover row per variable of P, and they and
+the window oracle's _cech_dims build through _complex_from_basis, which
+the profile never calls.  From the profile this module derives
 nonvanishing shapes, dimensions, Hilbert data, localizations and supports.
 """
 
@@ -238,26 +241,25 @@ def normalize(ideal):
 # ---------------------------------------------------------------------------
 
 
-def _union_support(supports, sigma):
-    acc = frozenset()
-    for j in sigma:
-        acc |= supports[j]
-    return acc
-
-
 def _alive_masks(supports, pattern):
     """The subsets σ (bitmasks over generators) with pattern ⊆ supp(m_σ), as
     an alive family: an int whose bit σ is set when σ is alive.
 
-    The empty σ (the ring summand) is alive exactly when the pattern is
-    empty; aliveness is upward-closed since supports only grow along σ.
+    It is the AND, over v in the pattern, of v's cover row: the family of
+    the σ that hold some generator whose support contains v.  A row is
+    built by doubling over the generators: a σ whose highest generator
+    is j is σ' + 2^j for some σ' < 2^j, and it is in the row when supp_j
+    contains v, or else when σ' is.  The empty σ (the ring summand) is
+    in no row, so it is alive exactly when the pattern is empty;
+    aliveness is upward-closed since supports only grow along σ.
     """
-    g = len(supports)
-    alive = 0
-    for mask in range(1 << g):
-        sigma = [j for j in range(g) if mask >> j & 1]
-        if pattern <= _union_support(supports, sigma):
-            alive |= 1 << mask
+    alive = (1 << (1 << len(supports))) - 1
+    for v in pattern:
+        row = 0
+        for j, support in enumerate(supports):
+            width = 1 << j
+            row |= (((1 << width) - 1) if v in support else row) << width
+        alive &= row
     return alive
 
 
@@ -361,26 +363,6 @@ class CohomologyProfile:
         return f"CohomologyProfile({self.ideal!r}, {len(self.by_pattern)} patterns)"
 
 
-def _link_facets(support_masks, pattern_mask):
-    """Facets of K|_P as bitmasks over variables: the maximal sets P∖supp_j.
-
-    K = {Q : some generator support is disjoint from Q}, so the faces of
-    its restriction to P are exactly the subsets of some P∖supp_j.
-    """
-    candidates = {pattern_mask & ~s for s in support_masks}
-    return [
-        f for f in candidates if not any(f != h and f & h == f for h in candidates)
-    ]
-
-
-def _is_cone(facets):
-    """Whether some vertex lies in every facet (then the complex is acyclic)."""
-    common = facets[0]
-    for f in facets[1:]:
-        common &= f
-    return common != 0
-
-
 def _link_complex(faces):
     """Augmented simplicial cochain complex of a simplicial complex given by
     all of its faces, each once, as bitmasks (K|_P or its Alexander dual
@@ -410,17 +392,17 @@ def _link_complex(faces):
     return FiniteComplex([len(level) for level in levels], diffs)
 
 
-def _dual_faces(support_masks, pattern_mask, cap):
+def _dual_faces(minimal, pattern_mask, cap):
     """Every face of the Alexander dual D_P = {S ⊆ P : no supp_j ∩ P lies
     in S}, each once, or None once D_P has more than ``cap`` faces.
 
-    One depth-first search over the vertices of P, adding them in
-    increasing order, grows a face only while it contains no minimal
-    restricted support; a new vertex can only complete a support that
-    contains it.
+    ``minimal`` lists the minimal restricted supports, the
+    inclusion-minimal sets supp_j ∩ P as bitmasks, so the faces of D_P
+    are the subsets of P that contain none of them.  One depth-first
+    search over the vertices of P, adding them in increasing order, grows
+    a face only while that holds; a new vertex can only complete a
+    support that contains it.
     """
-    restricted = {s & pattern_mask for s in support_masks}
-    minimal = [r for r in restricted if not any(t != r and t & r == t for t in restricted)]
     bits = [1 << v for v in range(pattern_mask.bit_length()) if pattern_mask >> v & 1]
     blockers = {b: [r for r in minimal if r & b] for b in bits}
     faces = [0]
@@ -449,20 +431,28 @@ def _profile_normalized(ideal):
     for r in range(1, len(union) + 1):
         for subset in combinations(union, r):
             pattern_mask = sum(1 << v for v in subset)
-            facets = _link_facets(masks, pattern_mask)
-            if _is_cone(facets):
+            # the minimal restricted supports: K|_P's facets are P∖t for t
+            # in the list (the full simplex when some supp_j misses P,
+            # then the list is [0]), and D_P's faces contain no t
+            minimal, covered = [], 0
+            for t in sorted({s & pattern_mask for s in masks}, key=int.bit_count):
+                if all(u & t != u for u in minimal):
+                    minimal.append(t)
+                    covered |= t
+            if covered != pattern_mask:
+                # a vertex in no t lies in every facet: K|_P is a cone
                 continue
             # Non-faces of K|_P are the complements of faces of D_P, so
             # |K|_P| = 2^r − |D_P|; the union bound over the facets also
             # caps |K|_P|.  D_P is used when it has at most as many faces.
-            cap = min(1 << (r - 1), 1 + sum((1 << f.bit_count()) - 1 for f in facets))
-            dual = _dual_faces(masks, pattern_mask, cap)
+            cap = min(1 << (r - 1), 1 + sum((1 << (r - t.bit_count())) - 1 for t in minimal))
+            dual = _dual_faces(minimal, pattern_mask, cap)
             if dual is None:
                 # K|_P's faces are the subsets of its facets;
                 # h^i(P) = H̃^{i-2}(K|_P), and H̃^{i-2} sits at index i-1
                 faces = {0}
-                for f in facets:
-                    sub = f
+                for t in minimal:
+                    f = sub = pattern_mask ^ t
                     while sub:
                         faces.add(sub)
                         sub = (sub - 1) & f

@@ -113,6 +113,23 @@ def test_parse_spec_missing_file():
     assert err.value.code == 2
 
 
+def test_parse_spec_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(CliError) as err:
+        parse_spec(str(path))
+    assert err.value.code == 2
+    assert err.value.message.startswith(f"{path}: ")
+
+
+def test_main_on_a_file_that_is_not_utf8_prints_no_traceback(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, _, err = run_cli(capsys, "pattern", str(path), "--all")
+    assert code == 2
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_parse_spec_rejects_unknown_fields(tmp_path, capsys):
     path = write_spec(
         tmp_path,

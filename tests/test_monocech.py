@@ -29,7 +29,7 @@ from lclab.monocech import (
     x_lattice_count,
 )
 from lclab import monocech
-from lclab.monocech import _is_cone, _link_complex, _link_facets, _profile_normalized
+from lclab.monocech import _alive_masks, _link_complex, _profile_normalized
 from lclab.verify import exhaustive_ideals, random_battery
 
 CTX_MIXED = VariableContext(("Y1", "Y2"), ("X1",))
@@ -310,8 +310,34 @@ def test_cone_pruned_patterns_are_exactly_the_zero_ones(ideal):
     nvars = ideal.context.nvars
     for r in range(1, nvars + 1):
         for subset in combinations(range(nvars), r):
-            cone = _is_cone(_link_facets(masks, sum(1 << v for v in subset)))
+            cone = _is_cone_by_scan(masks, subset)
             assert cone == (frozenset(subset) not in prof.by_pattern), subset
+
+
+def _covers_by_scan(supports, pattern, sigma_mask):
+    covered = frozenset()
+    for j, support in enumerate(supports):
+        if sigma_mask >> j & 1:
+            covered |= support
+    return pattern <= covered
+
+
+@pytest.mark.parametrize(
+    "ideals",
+    [lambda: exhaustive_ideals(3), lambda: random_battery(count=60, seed=5)],
+    ids=["exhaustive-3", "battery-5"],
+)
+def test_alive_masks_is_the_family_that_covers_the_pattern(ideals):
+    for ideal in ideals():
+        supports = normalize(ideal).supports
+        g, nvars = len(supports), ideal.context.nvars
+        for r in range(nvars + 1):
+            for subset in combinations(range(nvars), r):
+                pattern = frozenset(subset)
+                expected = sum(
+                    1 << sigma for sigma in range(1 << g) if _covers_by_scan(supports, pattern, sigma)
+                )
+                assert _alive_masks(supports, pattern) == expected, (ideal, subset)
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +367,26 @@ def _link_faces_by_scan(masks, pattern_mask):
     return faces
 
 
+def _is_cone_by_scan(masks, subset):
+    """Whether K|_P is a cone: some v ∈ P with F ∪ {v} a face for every face F."""
+    faces = _link_faces_by_scan(masks, sum(1 << v for v in subset))
+    return any(all(f | 1 << v in faces for f in faces) for v in subset)
+
+
 def _assert_sides_agree(ideal):
     supports = normalize(ideal).supports
     masks = [sum(1 << v for v in s) for s in supports]
     union = sorted(frozenset().union(*supports))
     for r in range(1, len(union) + 1):
         for subset in combinations(union, r):
-            pattern_mask = sum(1 << v for v in subset)
-            if _is_cone(_link_facets(masks, pattern_mask)):
+            if _is_cone_by_scan(masks, subset):
                 continue
+            pattern_mask = sum(1 << v for v in subset)
+            restricted = {m & pattern_mask for m in masks}
+            minimal = [t for t in restricted if not any(u != t and u & t == u for u in restricted)]
             by_scan = _dual_faces_by_scan(masks, pattern_mask)
             # with room for every subset of P the search lists every face once
-            found = monocech._dual_faces(masks, pattern_mask, 1 << r)
+            found = monocech._dual_faces(minimal, pattern_mask, 1 << r)
             assert len(found) == len(by_scan) and set(found) == by_scan, (ideal, subset)
             link = cohomology_dims(_link_complex(_link_faces_by_scan(masks, pattern_mask)))
             dual = cohomology_dims(_link_complex(by_scan))
@@ -381,8 +415,8 @@ def _cycle(n):
 def _built_complexes(monkeypatch, ideal, decisions=None):
     """Cells of every complex a cold profile builds, and how many patterns
     went to the dual side and how many to the link side; each side choice
-    is also appended to ``decisions`` as (support masks, pattern mask,
-    whether D_P was taken)."""
+    is also appended to ``decisions`` as (pattern mask, whether D_P was
+    taken)."""
     cells, sides = [], {"dual": 0, "link": 0}
     real_complex, real_dual = monocech._link_complex, monocech._dual_faces
 
@@ -391,11 +425,11 @@ def _built_complexes(monkeypatch, ideal, decisions=None):
         cells.append(sum(complex_.levels))
         return complex_
 
-    def counting_dual(masks, pattern_mask, cap):
-        faces = real_dual(masks, pattern_mask, cap)
+    def counting_dual(minimal, pattern_mask, cap):
+        faces = real_dual(minimal, pattern_mask, cap)
         sides["link" if faces is None else "dual"] += 1
         if decisions is not None:
-            decisions.append((masks, pattern_mask, faces is not None))
+            decisions.append((pattern_mask, faces is not None))
         return faces
 
     monkeypatch.setattr(monocech, "_link_complex", counting_complex)
@@ -418,15 +452,18 @@ def test_each_pattern_is_computed_on_the_smaller_side(monkeypatch):
 
 
 def test_the_dual_side_is_taken_exactly_when_it_has_no_more_faces(monkeypatch):
-    decisions = []
+    taken = set()
     for ideal in random_battery(count=120, seed=7):
+        decisions = []
         _built_complexes(monkeypatch, ideal, decisions)
-    for masks, pattern_mask, took_dual in decisions:
-        dual_faces = len(_dual_faces_by_scan(masks, pattern_mask))
-        # the non-faces of K|_P are the complements of the faces of D_P
-        link_faces = (1 << pattern_mask.bit_count()) - dual_faces
-        assert took_dual == (dual_faces <= link_faces), (masks, pattern_mask)
-    assert {took for _, _, took in decisions} == {True, False}
+        masks = [sum(1 << v for v in s) for s in normalize(ideal).supports]
+        for pattern_mask, took_dual in decisions:
+            dual_faces = len(_dual_faces_by_scan(masks, pattern_mask))
+            # the non-faces of K|_P are the complements of the faces of D_P
+            link_faces = (1 << pattern_mask.bit_count()) - dual_faces
+            assert took_dual == (dual_faces <= link_faces), (ideal, pattern_mask)
+            taken.add(took_dual)
+    assert taken == {True, False}
 
 
 # ---------------------------------------------------------------------------
