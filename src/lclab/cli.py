@@ -264,6 +264,7 @@ def _poly_human(poly):
 
 _RANGE_RE = re.compile(r"(-?\d+)(?:\.\.(-?\d+))?$")
 MAX_DEGREES = 10_000  # most degrees one -n LO..HI may span
+MAX_RANDOM = 10_000  # most ideals one verify --random N may check
 
 
 def _parse_degrees(text):
@@ -468,6 +469,8 @@ def cmd_verify(args):
     elif args.random is not None:
         if args.random < 1:
             raise CliError(2, "--random needs a positive count")
+        if args.random > MAX_RANDOM:
+            raise CliError(2, f"--random {args.random} is too many ideals; at most {MAX_RANDOM} allowed")
         report = VerificationReport()
         for member in random_battery(count=args.random, seed=args.seed):
             report.extend(theorem_suite(member))

@@ -37,7 +37,7 @@ nonvanishing shapes, dimensions, Hilbert data, localizations and supports.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import combinations
 
@@ -66,20 +66,16 @@ class ShapeViolationError(AssertionError):
     """
 
 
-@dataclass(frozen=True)
-class VariableContext:
+class VariableContext(namedtuple("VariableContext", "deg0 deg1")):
     """Named variables with the (0,1)-degree split: deg0 = Y block, deg1 = X block.
 
-    The attributes derived from the two blocks are computed on first read
-    and kept; equality, hash and repr read only ``deg0`` and ``deg1``.
+    An immutable named tuple of the two blocks, so equality, hash and repr
+    read only ``deg0`` and ``deg1``.  The attributes derived from them are
+    computed on first read and kept in the instance dict.
     """
 
-    deg0: tuple
-    deg1: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "deg0", tuple(self.deg0))
-        object.__setattr__(self, "deg1", tuple(self.deg1))
+    def __new__(cls, deg0, deg1):
+        self = super().__new__(cls, tuple(deg0), tuple(deg1))
         if len(self.deg1) < 1:
             raise ValueError("need at least one degree-1 variable")
         names = self.deg0 + self.deg1
@@ -87,6 +83,10 @@ class VariableContext:
             raise ValueError("variable names must be nonempty strings")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: VariableContext is immutable")
 
     @cached_property
     def d(self):
@@ -551,14 +551,12 @@ class Contributor(tuple):
         return True
 
 
-@dataclass(frozen=True)
-class PatternReport:
-    """Nonvanishing classification of one cohomological index."""
+class PatternReport(namedtuple("PatternReport", "ideal i shape contributors")):
+    """Nonvanishing classification of one cohomological index: an immutable
+    named tuple of the ideal, the index i, its PatternShape and the
+    contributors that realize it."""
 
-    ideal: MonomialIdeal
-    i: int
-    shape: PatternShape
-    contributors: tuple
+    __slots__ = ()
 
     def describe(self):
         return self.shape.describe(self.ideal.context.m)

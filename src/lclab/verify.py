@@ -23,7 +23,7 @@ the check reads its statement there.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations, product
 
 from .exactlin import binom_ext
@@ -198,25 +198,23 @@ _LAWS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One named check: what law was tested, how it went, and on what."""
+class CheckResult(namedtuple("CheckResult", "name statement status witness")):
+    """One named check: what law was tested, how it went ("pass", "fail" or
+    "skip"), and on what (a witness dict, or None); an immutable named tuple."""
 
-    name: str
-    statement: str
-    status: str  # "pass" | "fail" | "skip"
-    witness: dict | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.status not in ("pass", "fail", "skip"):
-            raise ValueError(f"bad status {self.status!r}")
+    def __new__(cls, name, statement, status, witness=None):
+        if status not in ("pass", "fail", "skip"):
+            raise ValueError(f"bad status {status!r}")
+        return super().__new__(cls, name, statement, status, witness)
 
 
-@dataclass
 class VerificationReport:
     """An ordered collection of check results with summary accessors."""
 
-    results: list = field(default_factory=list)
+    def __init__(self):
+        self.results = []
 
     def add(self, name, statement, status, witness=None):
         self.results.append(CheckResult(name, statement, status, witness))
@@ -632,25 +630,33 @@ def random_battery(count=1000, seed=20260823, max_nvars=7):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoldenCase:
-    """A worked example with frozen expectations.
+class GoldenCase(
+    namedtuple("GoldenCase", "case_id ideal source shapes nonzero dims strands socles min_primes koszul")
+):
+    """A worked example with frozen expectations, as an immutable named tuple.
 
     source says where each case's numbers come from: "published-example"
     for values quoted from the worked examples this reproduces,
-    "hand-derived" for values computed by hand for this corpus.
+    "hand-derived" for values computed by hand for this corpus.  Each
+    expectation left out is a fresh empty dict:
+
+        shapes       i -> PatternShape
+        nonzero      (i, n) -> bool
+        dims         (i, n) -> DimValue (d = 0 only)
+        strands      (i, y_part, n) -> DimValue
+        socles       (i, n) -> DimValue
+        min_primes   (i, n) -> set of tuples
+        koszul       (i, kind, v, n) -> (h1, h0)
     """
 
-    case_id: str
-    ideal: MonomialIdeal
-    source: str
-    shapes: dict = field(default_factory=dict)  # i -> PatternShape
-    nonzero: dict = field(default_factory=dict)  # (i, n) -> bool
-    dims: dict = field(default_factory=dict)  # (i, n) -> DimValue (d = 0 only)
-    strands: dict = field(default_factory=dict)  # (i, y_part, n) -> DimValue
-    socles: dict = field(default_factory=dict)  # (i, n) -> DimValue
-    min_primes: dict = field(default_factory=dict)  # (i, n) -> set of tuples
-    koszul: dict = field(default_factory=dict)  # (i, kind, v, n) -> (h1, h0)
+    __slots__ = ()
+
+    def __new__(cls, case_id, ideal, source, **expectations):
+        kinds = cls._fields[3:]
+        unknown = expectations.keys() - set(kinds)
+        if unknown:
+            raise TypeError(f"unknown expectations: {', '.join(sorted(unknown))}")
+        return super().__new__(cls, case_id, ideal, source, *(expectations.get(k, {}) for k in kinds))
 
 
 def golden_corpus():

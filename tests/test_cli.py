@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lclab
-from lclab.cli import MAX_DEGREES, CliError, emit_spec, main, parse_spec
+from lclab.cli import MAX_DEGREES, MAX_RANDOM, CliError, emit_spec, main, parse_spec
 from lclab.monocech import normalize
 from lclab.verify import VerificationReport
 
@@ -159,6 +159,22 @@ def test_import_pulls_in_no_thread_pool():
     assert result.stdout.strip() == "False"
 
 
+def test_cold_start_loads_no_dataclasses_or_inspect(monkeypatch):
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import run  # bench/run.py, for the environment its commands run in
+
+    for args, module in ((("-c", "import lclab"), "lclab"), (("-m", "lclab", "--help"), "lclab.cli")):
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", *args], env=run.child_env(), capture_output=True, text=True
+        )
+        # each line of -X importtime ends in the name of a module imported
+        lines = result.stderr.splitlines()
+        imported = {line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")}
+        assert module in imported, args
+        assert not imported & {"dataclasses", "inspect"}, args
+
+
 def test_round_trip_is_identity(tmp_path):
     for name in ("mixed-pinch", "maximal-x2", "free-line", "y-plane", "cross-tails"):
         first = parse_spec(str(CASES / f"{name}.json"))
@@ -278,6 +294,13 @@ def test_huge_degree_ranges_exit_two(capsys):
     assert code == 0
     code, _, err = run_cli(capsys, "dim", MAXX2_SPEC, "-i", "2", "-n", f"0..{MAX_DEGREES}")
     assert code == 2 and f"at most {MAX_DEGREES}" in err
+
+
+def test_huge_random_batteries_exit_two(capsys):
+    for count in (str(MAX_RANDOM + 1), "99999999999999999999"):
+        code, out, err = run_cli(capsys, "verify", "--random", count)
+        assert code == 2 and out == ""
+        assert f"at most {MAX_RANDOM} allowed" in err and "Traceback" not in err
 
 
 @pytest.mark.skipif(

@@ -1,6 +1,5 @@
 """Oracle-vs-engine agreement, the structural-law suite, and the corpus."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -22,6 +21,7 @@ from lclab.monocech import (
     PatternShape,
     ShapeViolationError,
     VariableContext,
+    pattern_report,
 )
 from lclab.weylact import NotEulerianError
 from lclab.verify import (
@@ -295,6 +295,31 @@ def test_check_result_validates_status():
         CheckResult("x", "y", "maybe")
 
 
+def test_value_types_are_immutable_named_tuples():
+    result = CheckResult("x", "y", "pass")
+    assert result.witness is None and result == ("x", "y", "pass", None)
+    case = next(c for c in golden_corpus() if c.case_id == "y-plane")
+    report = pattern_report(case.ideal, 1)
+    values = ((result, "status"), (case, "dims"), (report, "shape"), (case.ideal.context, "d"))
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.extra = None
+    assert report == (case.ideal, 1, report.shape, report.contributors)
+    assert report._replace(i=2).i == 2 and report.i == 1
+
+
+def test_golden_case_expectations_default_to_fresh_dicts():
+    ideal = next(iter(golden_corpus())).ideal
+    first, second = (verify.GoldenCase(case_id, ideal, "hand-derived") for case_id in "ab")
+    assert first.dims == second.dims == {} and first.dims is not second.dims
+    first.dims[(1, 0)] = DimValue(1)
+    assert second.dims == {}
+    with pytest.raises(TypeError):
+        verify.GoldenCase("c", ideal, "hand-derived", dimensions={})
+
+
 def test_report_counts_and_json():
     report = VerificationReport()
     report.add("a", "first law", "pass")
@@ -435,7 +460,7 @@ def _shape_at(index, shape):
     def wrap(orig):
         def fake(ideal, i):
             report = orig(ideal, i)
-            return dataclasses.replace(report, shape=shape) if i == index else report
+            return report._replace(shape=shape) if i == index else report
 
         return fake
 
@@ -577,7 +602,7 @@ def test_every_golden_case_passes():
 
 def test_corrupted_expectation_fails_with_repro():
     case = next(c for c in golden_corpus() if c.case_id == "maximal-x-m2")
-    bad = dataclasses.replace(case, dims={**case.dims, (2, -2): DimValue(7)})
+    bad = case._replace(dims={**case.dims, (2, -2): DimValue(7)})
     report = run_golden_case(bad)
     assert not report.passed
     witness = report.failures[0].witness
@@ -590,16 +615,14 @@ def test_corrupted_expectation_fails_with_repro():
 
 def test_corrupted_shape_fails():
     case = next(c for c in golden_corpus() if c.case_id == "y-plane")
-    bad = dataclasses.replace(case, shapes={1: PatternShape.ALL_Z})
+    bad = case._replace(shapes={1: PatternShape.ALL_Z})
     assert not run_golden_case(bad).passed
 
 
 def test_corrupted_koszul_expectation_fails():
     case = next(c for c in golden_corpus() if c.case_id == "maximal-x-m1")
     assert case.koszul  # the m = 1 concentration data lives on this case
-    bad = dataclasses.replace(
-        case, koszul={(1, "mult", 0, 5): (DimValue(3), DimValue(0))}
-    )
+    bad = case._replace(koszul={(1, "mult", 0, 5): (DimValue(3), DimValue(0))})
     report = run_golden_case(bad)
     assert not report.passed
     assert any(
@@ -619,7 +642,7 @@ def test_golden_case_builds_one_koszul_module_per_index(monkeypatch):
     monkeypatch.setattr(verify, "LocalCohomologyModule", CountingModule)
     case = next(c for c in golden_corpus() if c.case_id == "maximal-x-m1")
     extra = {(2, "mult", 0, n): (DimValue(0), DimValue(0)) for n in range(-3, 3)}
-    case = dataclasses.replace(case, koszul={**case.koszul, **extra})
+    case = case._replace(koszul={**case.koszul, **extra})
     assert len(case.koszul) == 12
     run_golden_case(case)
     assert built == {1: 1, 2: 1}
