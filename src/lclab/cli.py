@@ -13,7 +13,9 @@ Monomials follow the grammar ``term := VAR ("^" POSINT)?``,
 (exponents add); every variable must be declared.  Parse errors carry
 file, line and column, and exit with code 2.
 
-Exit codes: 0 success, 1 verification failure, 2 bad input or usage.
+Exit codes: 0 success, 1 verification failure, 2 bad input or usage,
+141 when the reader closes standard output early (128 + SIGPIPE, as a
+shell reports a writer that SIGPIPE killed).
 JSON output (``--json``) is byte-stable for fixed input, carries a
 ``schema_version`` field, and renders infinite dimensions as the string
 ``"infinite"``.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -477,17 +480,14 @@ def cmd_verify(args):
     else:
         ideal = parse_spec(args.spec)
         report = theorem_suite(ideal)
-    if args.json:
-        _emit(args, {"report": report.to_json()}, ideal)
-    else:
-        if ideal is not None:
-            print(f"ideal: {_banner(ideal)}")
-        for result in report.results:
-            print(f"[{result.status.upper():4}] {result.name} — {result.statement}")
-            if result.status == "fail" and result.witness is not None:
-                print(f"       witness: {json.dumps(result.witness, sort_keys=True)}")
-        counts = report.counts()
-        print(f"passed: {counts['pass']}  failed: {counts['fail']}  skipped: {counts['skip']}")
+    lines = []
+    for result in report.results:
+        lines.append(f"[{result.status.upper():4}] {result.name} — {result.statement}")
+        if result.status == "fail" and result.witness is not None:
+            lines.append(f"       witness: {json.dumps(result.witness, sort_keys=True)}")
+    counts = report.counts()
+    lines.append(f"passed: {counts['pass']}  failed: {counts['fail']}  skipped: {counts['skip']}")
+    _emit(args, {"report": report.to_json()}, ideal, lines)
     return 0 if report.passed else 1
 
 
@@ -570,7 +570,22 @@ def main(argv=None):
     argv = _absorb_negative_values(sys.argv[1:] if argv is None else list(argv))
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        # flushed here, so that a closed stdout fails inside the try and not
+        # at interpreter exit
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"lclab: {exc.message}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes to devnull when
+        # the interpreter flushes at exit
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # a stdout with no file descriptor
+            return 141
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 141

@@ -618,10 +618,6 @@ class DimValue:
             raise ValueError(f"dimension must be a nonnegative integer or None: {value!r}")
         self.value = value
 
-    @classmethod
-    def finite(cls, n):
-        return cls(n)
-
     @property
     def is_infinite(self):
         return self.value is None

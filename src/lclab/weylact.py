@@ -194,19 +194,6 @@ class LocalizationModule(PatternModulePresentation):
         return f"LocalizationModule({{{inv}}})"
 
 
-class _SliceData:
-    """Cohomology bookkeeping for one pattern: a basis of the boundary space
-    and cycle representatives on top of it, in the alive-subset basis of
-    the middle level."""
-
-    __slots__ = ("level_basis", "boundary_cols", "reps")
-
-    def __init__(self, level_basis, boundary_cols, reps):
-        self.level_basis = level_basis
-        self.boundary_cols = boundary_cols
-        self.reps = reps
-
-
 class LocalCohomologyModule(PatternModulePresentation):
     """An index-i torsion cohomology module of a monomial ideal, presented
     pattern-wise with explicit cohomology-class bases.
@@ -216,10 +203,10 @@ class LocalCohomologyModule(PatternModulePresentation):
     representative through the chain-level inclusion of alive subsets and
     re-expressing it modulo boundaries in the target basis.
 
-    Each pattern's slice data is computed once and kept on the module, and
-    so is each crossing's rank (in the base class).  A crossing matrix is
-    built from the slice data whenever it is asked for and belongs to the
-    caller; the homology queries read only ranks.
+    Each crossing reads the slice data of its two patterns; the module
+    keeps only crossing ranks (in the base class), which every degree of a
+    homology query reuses.  A crossing matrix is built whenever it is asked
+    for and belongs to the caller.
     """
 
     def __init__(self, ideal, i):
@@ -230,7 +217,6 @@ class LocalCohomologyModule(PatternModulePresentation):
         self.ideal = ideal
         self.i = i
         self.profile = cohomology_profile(ideal)
-        self._data = {}
 
     def pattern_dim(self, pattern):
         return self.profile.h(pattern, self.i)
@@ -239,9 +225,9 @@ class LocalCohomologyModule(PatternModulePresentation):
         return [c.pattern for c in self.profile.contributors(self.i)]
 
     def _slice_data(self, pattern):
-        pattern = frozenset(pattern)
-        if pattern in self._data:
-            return self._data[pattern]
+        """(level, boundary_cols, reps) of one pattern: the alive subsets of
+        the middle level, a basis of the boundary space and cycle
+        representatives on top of it, in the basis of that level."""
         i = self.i
         basis = slice_basis(self.ideal, pattern)
         diffs = _complex_from_basis(basis).diffs
@@ -265,9 +251,7 @@ class LocalCohomologyModule(PatternModulePresentation):
                 f"cohomology basis size {len(reps)} disagrees with rank count "
                 f"{self.pattern_dim(pattern)} at pattern {sorted(pattern)}"
             )
-        data = _SliceData(tuple(level), boundary_cols, reps)
-        self._data[pattern] = data
-        return data
+        return level, boundary_cols, reps
 
     def mult_crossing(self, pattern, v):
         pattern = frozenset(pattern)
@@ -278,17 +262,17 @@ class LocalCohomologyModule(PatternModulePresentation):
         tgt_dim = self.pattern_dim(target)
         if src_dim == 0 or tgt_dim == 0:
             return _zero_rows(tgt_dim, src_dim)
-        src = self._slice_data(pattern)
-        tgt = self._slice_data(target)
-        position = {sigma: t for t, sigma in enumerate(tgt.level_basis)}
-        nb = len(tgt.boundary_cols)
-        columns = tgt.boundary_cols + tgt.reps
+        src_level, _, src_reps = self._slice_data(pattern)
+        tgt_level, boundary_cols, tgt_reps = self._slice_data(target)
+        position = {sigma: t for t, sigma in enumerate(tgt_level)}
+        nb = len(boundary_cols)
+        columns = boundary_cols + tgt_reps
         out_cols = []
-        for z in src.reps:
+        for z in src_reps:
             # the alive family only grows when the pattern shrinks, so the
             # chain map is the basis inclusion of subsets
-            image = [0] * len(tgt.level_basis)
-            for coeff, sigma in zip(z, src.level_basis):
+            image = [0] * len(tgt_level)
+            for coeff, sigma in zip(z, src_level):
                 if coeff:
                     image[position[sigma]] = coeff
             sol = solve_columns(columns, image)

@@ -175,6 +175,25 @@ def test_cold_start_loads_no_dataclasses_or_inspect(monkeypatch):
         assert not imported & {"dataclasses", "inspect"}, args
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_a_closed_stdout_exits_141_with_a_clean_stderr(monkeypatch, json_flag):
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import run  # bench/run.py, whose environment leaves stdout buffered
+
+    # about 180 KB of text, well past a 64 KB pipe buffer
+    argv = [sys.executable, "-m", "lclab", "dim", MAXX2_SPEC, "-i", "2", "-n", "-9999..0", *json_flag]
+    proc = subprocess.Popen(argv, env=run.child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(1)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 141
+    assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
 def test_round_trip_is_identity(tmp_path):
     for name in ("mixed-pinch", "maximal-x2", "free-line", "y-plane", "cross-tails"):
         first = parse_spec(str(CASES / f"{name}.json"))

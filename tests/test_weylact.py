@@ -134,15 +134,15 @@ def test_slice_reps_match_greedy_span_selection():
             for r in range(nvars + 1):
                 for pattern in map(frozenset, combinations(range(nvars), r)):
                     diffs = slice_complex(module.ideal, pattern).diffs
-                    data = module._slice_data(pattern)
-                    c_i = len(data.level_basis)
+                    level, boundary_cols, reps = module._slice_data(pattern)
+                    c_i = len(level)
                     if i < len(diffs):
                         cycles = kernel_basis(diffs[i])
                     else:
                         cycles = [[int(t == s) for t in range(c_i)] for s in range(c_i)]
-                    assert data.reps == greedy_reps(data.boundary_cols, cycles), (ideal, i, pattern)
+                    assert reps == greedy_reps(boundary_cols, cycles), (ideal, i, pattern)
                     checked += 1
-                    with_boundaries += bool(data.reps and data.boundary_cols)
+                    with_boundaries += bool(reps and boundary_cols)
     assert (checked, with_boundaries) == (1718, 9)
 
 
@@ -407,20 +407,28 @@ def test_koszul_over_a_degree_range_builds_each_crossing_once(monkeypatch):
     "ideal, i, v", [(C7, 4, 0), (C7, 4, 3), (cycle_ideal(8), 5, 0), (MIXED, 2, 0)], ids=["C7-X1", "C7-X4", "C8-X1", "mixed-Y1"]
 )
 def test_koszul_over_a_degree_range_finds_each_alive_family_once(monkeypatch, ideal, i, v):
-    found = Counter()
+    found, read = Counter(), Counter()
     real_alive = monocech._alive_masks
+    real_slice_data = LocalCohomologyModule._slice_data
 
     def counting_alive(supports, pattern):
         found[supports, pattern] += 1
         return real_alive(supports, pattern)
 
+    def counting_slice_data(self, pattern):
+        read[pattern] += 1
+        return real_slice_data(self, pattern)
+
     monkeypatch.setattr(monocech, "_alive_masks", counting_alive)
+    monkeypatch.setattr(LocalCohomologyModule, "_slice_data", counting_slice_data)
     module = LocalCohomologyModule(ideal, i)
     for n in range(-6, 7):
         koszul_homology_X(module, v, n)
-    # one alive family per pattern whose slice data the crossings read
+    # one alive family per pattern whose slice data the crossings read, and
+    # each pattern's slice data read once
     assert found and set(found.values()) == {1}
-    assert len(found) == len(module._data)
+    assert set(read.values()) == {1}
+    assert len(found) == len(read)
 
 
 def test_euler_check_builds_each_matrix_once(monkeypatch):
