@@ -442,13 +442,11 @@ def cmd_koszul(args):
         raise CliError(2, exc.args[0]) from None
     if args.kind == "derham" and v not in ctx.x_indices:
         raise CliError(2, "derivatives are only taken in degree-1 variables")
-    try:
-        module = LocalCohomologyModule(ideal, args.cohomdeg)
-    except ValueError as exc:
-        raise CliError(2, exc.args[0]) from None
+    degrees = _parse_degrees(args.degree)
+    module = LocalCohomologyModule(ideal, args.cohomdeg)
     homology = koszul_homology_X if args.kind == "mult" else derham_homology
     rows, lines = [], []
-    for n in _parse_degrees(args.degree):
+    for n in degrees:
         h1, h0 = homology(module, v, n)
         rows.append({"n": n, "h1": h1.to_json(), "h0": h0.to_json()})
         lines.append(f"n={n}: H1={h1.to_json()} H0={h0.to_json()}")

@@ -522,25 +522,11 @@ class PatternShape(enum.Enum):
         return n <= -m or n >= 0
 
 
-class Contributor(tuple):
-    """A (pattern, rank, k) triple: a sign pattern with nonzero slice rank."""
+class Contributor(namedtuple("Contributor", "pattern rank k")):
+    """A (pattern, rank, k) triple: a sign pattern (a frozenset) with
+    nonzero slice rank, and k the size of its degree-1 part."""
 
     __slots__ = ()
-
-    def __new__(cls, pattern, rank, k):
-        return super().__new__(cls, (frozenset(pattern), rank, k))
-
-    @property
-    def pattern(self):
-        return self[0]
-
-    @property
-    def rank(self):
-        return self[1]
-
-    @property
-    def k(self):
-        return self[2]
 
     def degree_range_contains(self, n, m):
         """Whether coarse degree n is realized by a multidegree with this pattern."""

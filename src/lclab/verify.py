@@ -408,11 +408,11 @@ def _check_hilbert(ideal, shapes, report):
         ok_deg = (f.degree is None or f.degree <= m - 1) and (
             g.degree is None or g.degree <= m - 1
         )
-        ok_fit = all(
-            f.evaluate(n) == piece_dimension(ideal, i, n).value
-            for n in range(-m - 10, -m + 1)
-        ) and all(
-            g.evaluate(n) == piece_dimension(ideal, i, n).value for n in range(0, 11)
+        # the tail dimensions both checks read: n = -m-10..-m and 0..10
+        neg_tail, pos_tail = range(-m - 10, -m + 1), range(0, 11)
+        dims = {n: piece_dimension(ideal, i, n).value for n in (*neg_tail, *pos_tail)}
+        ok_fit = all(f.evaluate(n) == dims[n] for n in neg_tail) and all(
+            g.evaluate(n) == dims[n] for n in pos_tail
         )
         if not (ok_deg and ok_fit):
             report.record("growth-polynomials", "fail", _repro(ideal, i=i, f=str(f), g=str(g)))
@@ -427,17 +427,9 @@ def _check_hilbert(ideal, shapes, report):
             sharp = (f.is_zero() or f.degree == m - 1) and (
                 g.is_zero() or g.degree == m - 1
             )
-            r_neg = piece_dimension(ideal, i, -m).value
-            r_pos = piece_dimension(ideal, i, 0).value
             scaled = all(
-                piece_dimension(ideal, i, n).value
-                == r_neg * abs(binom_ext(n + m - 1, m - 1))
-                for n in range(-m - 10, -m + 1)
-            ) and all(
-                piece_dimension(ideal, i, n).value
-                == r_pos * binom_ext(n + m - 1, m - 1)
-                for n in range(0, 11)
-            )
+                dims[n] == dims[-m] * abs(binom_ext(n + m - 1, m - 1)) for n in neg_tail
+            ) and all(dims[n] == dims[0] * binom_ext(n + m - 1, m - 1) for n in pos_tail)
             if not (sharp and scaled):
                 report.record("growth-gap-form", "fail", _repro(ideal, i=i, f=str(f), g=str(g)))
                 return

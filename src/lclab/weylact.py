@@ -207,11 +207,13 @@ class LocalCohomologyModule(PatternModulePresentation):
     keeps only crossing ranks (in the base class), which every degree of a
     homology query reuses.  A crossing matrix is built whenever it is asked
     for and belongs to the caller.
+
+    Every index is accepted: one outside 0..g (g the generator count) has
+    no nonzero pattern in the profile, so it reads as the zero module, as
+    in every subcommand.
     """
 
     def __init__(self, ideal, i):
-        if i < 0:
-            raise ValueError(f"cohomological index must be nonnegative, got {i}")
         ideal = normalize(ideal)
         super().__init__(ideal.context)
         self.ideal = ideal
@@ -374,49 +376,34 @@ def _remaining_count(ctx, v, pattern, n):
     return degree_count(y_count, m, k, n)
 
 
-def _wall_sum(contributions):
-    """(dim H1, dim H0) from (which, pattern, weight, count) wall contributions."""
-    h = {"H1": DimValue(0), "H0": DimValue(0)}
-    for which, _pattern, weight, count in contributions:
-        h[which] = h[which] + count.scaled(weight)
-    return h["H1"], h["H0"]
+def koszul_homology_X(module, v, n):
+    """(dim H1, dim H0) of multiplication by variable v at coarse degree n.
 
-
-def koszul_contributions(module, v, n):
-    """Wall-by-wall contributions to (H1, H0) of multiplication by v at
-    coarse degree n, per KoszulConvention.
-
-    Yields (which, pattern, weight, count): kernels live on walls where
-    the source pattern contains v, cokernels where the target pattern
-    omits it.  The per-wall coarse offsets of kernel (−deg v then +deg v
-    back from the negative exponent) cancel, so both sides count the
-    remaining variables at target degree n.
+    Cited convention: KoszulConvention (kernel of v: M_{n−deg v} → M_n and
+    cokernel at M_n).  Kernels live on walls where the source pattern
+    contains v, cokernels where the target pattern omits it.  The per-wall
+    coarse offsets of a kernel (−deg v, then +deg v back from the negative
+    exponent) cancel, so both sides count the remaining variables at target
+    degree n.  Works for either variable block; the name keeps the degree-1
+    case, the main one, in front.
     """
     ctx = module.context
+    h1 = h0 = DimValue(0)
     for pattern in module.patterns():
         dim = module.pattern_dim(pattern)
         if v in pattern:
             ker = dim - module.crossing_rank(pattern, v)
             if ker:
-                yield "H1", pattern, ker, _remaining_count(ctx, v, pattern - {v}, n)
+                h1 = h1 + _remaining_count(ctx, v, pattern - {v}, n).scaled(ker)
         else:
             coker = dim - module.crossing_rank(pattern | {v}, v)
             if coker:
-                yield "H0", pattern, coker, _remaining_count(ctx, v, pattern, n)
+                h0 = h0 + _remaining_count(ctx, v, pattern, n).scaled(coker)
+    return h1, h0
 
 
-def koszul_homology_X(module, v, n):
-    """(dim H1, dim H0) of multiplication by variable v at coarse degree n.
-
-    Cited convention: KoszulConvention (kernel of v: M_{n−deg v} → M_n and
-    cokernel at M_n).  Works for either variable block; the name keeps the
-    degree-1 case, the main one, in front.
-    """
-    return _wall_sum(koszul_contributions(module, v, n))
-
-
-def derham_contributions(module, v, n):
-    """Wall contributions to (H1, H0) of ∂_v at coarse degree n.
+def derham_homology(module, v, n):
+    """(dim H1, dim H0) of the derivative along v at coarse degree n.
 
     Kernels are whole pieces on the wall α_v = 0 (coarse n+1, per
     KoszulConvention), cokernels whole pieces on the wall α_v = −1 at
@@ -425,17 +412,14 @@ def derham_contributions(module, v, n):
     ctx = module.context
     if v not in ctx.x_indices:
         raise ValueError("derivatives are only taken in degree-1 variables")
+    h1 = h0 = DimValue(0)
     for pattern in module.patterns():
         dim = module.pattern_dim(pattern)
         if v in pattern:
-            yield "H0", pattern, dim, _remaining_count(ctx, v, pattern - {v}, n + 1)
+            h0 = h0 + _remaining_count(ctx, v, pattern - {v}, n + 1).scaled(dim)
         else:
-            yield "H1", pattern, dim, _remaining_count(ctx, v, pattern, n + 1)
-
-
-def derham_homology(module, v, n):
-    """(dim H1, dim H0) of the derivative along v at coarse degree n."""
-    return _wall_sum(derham_contributions(module, v, n))
+            h1 = h1 + _remaining_count(ctx, v, pattern, n + 1).scaled(dim)
+    return h1, h0
 
 
 def four_term_check(module, v, kind, n):

@@ -294,6 +294,31 @@ def test_negative_index_reads_zero(capsys):
     code, out, _ = run_cli(capsys, "support", MIXED_SPEC, "-i", "-1", "-n", "0")
     assert code == 0
     assert "zero piece" in out
+    code, out, _ = run_cli(capsys, "hilbert", MAXX2_SPEC, "-i", "-1")
+    assert code == 0
+    assert "f: 0  for n <= -2" in out and "g: 0  for n >= 0" in out
+    for kind in ("mult", "derham"):
+        argv = ("koszul", MAXX2_SPEC, "-i", "-1", "-n", "-2..2", "--var", "X1", "--kind", kind)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("n=")] == [
+            f"n={n}: H1=0 H0=0" for n in range(-2, 3)
+        ]
+
+
+def test_koszul_checks_degrees_before_building_the_module(capsys, monkeypatch):
+    def no_module(*args):
+        raise AssertionError("LocalCohomologyModule built for a bad degree range")
+
+    monkeypatch.setattr("lclab.cli.LocalCohomologyModule", no_module)
+    for degrees, message in (
+        ("5..1", "empty degree range"),
+        (f"0..{MAX_DEGREES}", f"at most {MAX_DEGREES}"),
+    ):
+        argv = ("koszul", MAXX2_SPEC, "-i", "1", "-n", degrees, "--var", "X1", "--kind", "mult")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err
 
 
 def test_bad_degree_flags(capsys):
@@ -424,11 +449,6 @@ def test_koszul_flag_errors(capsys):
     )
     assert code == 2
     assert err.strip() == "lclab: unknown variable 'Q'"
-    code, _, err = run_cli(
-        capsys, "koszul", MAXX2_SPEC, "--var", "X1", "--kind", "mult", "-i", "-1", "-n", "0"
-    )
-    assert code == 2
-    assert err.strip() == "lclab: cohomological index must be nonnegative, got -1"
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ COMMANDS = {
     "support-negative-index": ("support", MIXED_SPEC, "-i", "-1", "-n", "0"),
     "koszul-mult": ("koszul", MAXX2_SPEC, "-i", "2", "-n", "-3..1", "--var", "X2", "--kind", "mult"),
     "koszul-derham": ("koszul", FREE_SPEC, "-i", "1", "-n", "-3..1", "--var", "X2", "--kind", "derham"),
+    "koszul-negative-index": ("koszul", MAXX2_SPEC, "-i", "-1", "-n", "-3..1", "--var", "X1", "--kind", "mult"),
     "verify-spec": ("verify", MIXED_SPEC),
     "verify-corpus": ("verify", "--corpus"),
     "verify-random": ("verify", "--random", "5", "--seed", "1"),
