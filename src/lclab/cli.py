@@ -24,6 +24,7 @@ JSON output (``--json``) is byte-stable for fixed input, carries a
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -587,3 +588,17 @@ def main(argv=None):
         os.dup2(devnull, fd)
         os.close(devnull)
         return 141
+
+
+def run():
+    """Console entry point: exit with :func:`main`'s code.
+
+    The heap is frozen on the way out, so the collections at interpreter
+    exit skip the objects the command made instead of walking them all;
+    ``atexit`` hooks still run.  :func:`main` itself does not freeze: a
+    caller that goes on running would keep its cyclic garbage for good.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()

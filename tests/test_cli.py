@@ -194,6 +194,46 @@ def test_a_closed_stdout_exits_141_with_a_clean_stderr(monkeypatch, json_flag):
     assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
+def test_verify_spec_with_many_raw_generators_returns(monkeypatch, tmp_path):
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import run  # bench/run.py, for the environment its commands run in
+
+    # five variables, but 22 raw generators: the oracle box would take
+    # minutes, so the suite skips it
+    generators = [f"X1^{k}*X2" for k in range(1, 21)] + ["X3*X4", "X5"]
+    spec = {"deg0_vars": [], "deg1_vars": [f"X{v}" for v in range(1, 6)], "generators": generators}
+    path = write_spec(tmp_path, json.dumps(spec))
+    argv = [sys.executable, "-m", "lclab", "verify", path, "--json"]
+    result = subprocess.run(argv, env=run.child_env(), capture_output=True, text=True, timeout=30)
+    assert result.returncode == 0, result.stderr
+    checks = json.loads(result.stdout)["report"]["checks"]
+    [oracle] = [c for c in checks if c["name"] == "oracle-box"]
+    assert oracle["status"] == "skip"
+    assert oracle["witness"] == {"reason": "window sweep capped at 10 raw generators"}
+
+
+def test_module_entry_freezes_the_heap_and_runs_atexit_hooks(monkeypatch, capsys):
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import run  # bench/run.py, for the environment its commands run in
+
+    argv = ["pattern", MIXED_SPEC, "--all", "--json"]
+    probe = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}'))\n"
+        f"sys.argv = ['lclab', *{argv!r}]\n"
+        "runpy.run_module('lclab', run_name='__main__')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=run.child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.startswith("frozen ") and int(result.stderr.split()[1]) > 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and result.stdout == out
+
+
 def test_round_trip_is_identity(tmp_path):
     for name in ("mixed-pinch", "maximal-x2", "free-line", "y-plane", "cross-tails"):
         first = parse_spec(str(CASES / f"{name}.json"))

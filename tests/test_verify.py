@@ -23,6 +23,7 @@ from lclab.monocech import (
     VariableContext,
     pattern_report,
 )
+from lclab.monocech import _cech_dims
 from lclab.weylact import NotEulerianError
 from lclab.verify import (
     CheckResult,
@@ -89,9 +90,8 @@ def test_window_oracle_ignores_redundant_generators():
 
 
 def test_window_oracle_far_point_builds_only_its_rows():
-    # on the 4-cycle edge ideal; tables for every value in [−2000, 2000]
-    # hold 4,001 × 2 × 2,001 bitsets per coordinate, the rows this point
-    # reads 2 × 2,001 for each negative coordinate
+    # on the 4-cycle edge ideal; the positive rows have no bound, so a point
+    # 2,000 out builds the same four 16-bit rows as a point next to the origin
     ctx = VariableContext((), ("X1", "X2", "X3", "X4"))
     cycle = MonomialIdeal(ctx, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)])
     profile = verify.cohomology_profile(cycle)
@@ -128,40 +128,24 @@ def raw_exponents_and_alpha(draw):
     return generators, tuple(alpha)
 
 
+def _witness_search(generators, alpha):
+    """The alive family at α by a literal search for a power t ≤ max|α_v|
+    with α + t·e ≥ 0, over every generator subset's exponent sum e."""
+    bound = max(map(abs, alpha), default=0)
+    return sum(
+        1 << mask
+        for mask, e in enumerate(verify._mask_exponent_sums(generators))
+        if any(all(a + t * ev >= 0 for a, ev in zip(alpha, e)) for t in range(bound + 1))
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(raw_exponents_and_alpha())
 def test_alive_by_divisibility_matches_witness_search(case):
     generators, alpha = case
-    mask_sums = verify._mask_exponent_sums(generators)
-    bound = max(abs(a) for a in alpha)
-    expected = sum(
-        1 << mask
-        for mask, e in enumerate(mask_sums)
-        if any(
-            all(a + t * ev >= 0 for a, ev in zip(alpha, e)) for t in range(bound + 1)
-        )
-    )
-    tables = verify._witness_tables(mask_sums, bound)
-    assert verify._alive_by_divisibility(tables, alpha) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(raw_exponents_and_alpha())
-def test_alive_family_does_not_depend_on_the_table_bound(case):
-    generators, alpha = case
-    mask_sums = verify._mask_exponent_sums(generators)
-    bound = max(abs(a) for a in alpha)
-    tight = verify._witness_tables(mask_sums, bound)
-    wide = verify._witness_tables(mask_sums, bound + 2)
-    assert verify._alive_by_divisibility(tight, alpha) == verify._alive_by_divisibility(
-        wide, alpha
-    )
-
-
-def test_alive_by_divisibility_raises_past_its_tables():
-    mask_sums = verify._mask_exponent_sums([(1, 0), (0, 1)])
-    with pytest.raises(ValueError, match="beyond the tables"):
-        verify._alive_by_divisibility(verify._witness_tables(mask_sums, 2), (-3, 0))
+    expected = _witness_search(generators, alpha)
+    rows = verify._positive_rows(generators)
+    assert verify._alive_by_divisibility(rows, alpha) == expected
 
 
 def _raw_generator_lists(count, seed):
@@ -179,16 +163,16 @@ def _raw_generator_lists(count, seed):
 
 
 def test_alive_family_ignores_nonnegative_coordinates():
-    # the oracle sweep decides each class of box points sharing their
-    # negative coordinates once, at the point with the others set to 0
+    # the oracle sweep decides each set of negative coordinates once, at a
+    # point with the others set to 0
     raw = _raw_generator_lists(60, seed=3)
     assert sum(max(map(max, gens)) > 1 for gens in raw) > len(raw) // 2
     for generators in [ideal.generators for ideal in exhaustive_ideals(3)] + raw:
-        tables = verify._witness_tables(verify._mask_exponent_sums(generators), 2)
+        rows = verify._positive_rows(generators)
         for alpha in product(range(-2, 3), repeat=len(generators[0])):
             clipped = tuple(min(a, 0) for a in alpha)
-            assert verify._alive_by_divisibility(tables, alpha) == verify._alive_by_divisibility(
-                tables, clipped
+            assert verify._alive_by_divisibility(rows, alpha) == verify._alive_by_divisibility(
+                rows, clipped
             ), (generators, alpha)
 
 
@@ -223,10 +207,11 @@ def _rank_plus_one(by_pattern, nvars, top):
 
 
 def _extra_pattern(by_pattern, nvars, top):
-    # a pattern the engine reads as zero, made nonzero at index 0 and one past the top
+    # a pattern the engine reads as zero, made nonzero at index 0 and one
+    # past the top; the empty pattern only when every other one is taken
     pattern = next(
         frozenset(c)
-        for r in range(1, nvars + 1)
+        for r in (*range(1, nvars + 1), 0)
         for c in combinations(range(nvars), r)
         if frozenset(c) not in by_pattern
     )
@@ -268,6 +253,90 @@ def test_oracle_compare_counts_mismatches_like_a_plain_walk(monkeypatch, breaker
     alpha, i = hits[0]
     assert witness["oracle"] == window_oracle(ideal, i, alpha)
     assert witness["engine"] == broken.h(ideal.context.sign_pattern(alpha), i)
+
+
+def _raw_ideals(count, seed):
+    """Ideals on the raw generator lists as written, the first variable of
+    each of degree 0 where there are two or more."""
+    out = []
+    for generators in _raw_generator_lists(count, seed):
+        nvars = len(generators[0])
+        d = 1 if nvars > 1 else 0
+        ctx = VariableContext(tuple(f"Y{v}" for v in range(d)), tuple(f"X{v}" for v in range(nvars - d)))
+        out.append(MonomialIdeal(ctx, generators))
+    return out
+
+
+def test_oracle_compare_matches_a_walk_over_every_point(monkeypatch):
+    # the reference walks every point of the box and every index, deciding
+    # survival by the literal witness search and reading the engine point
+    # by point; the report must match it unfaulted and under each fault
+    ideals = (
+        list(exhaustive_ideals(3))
+        + list(random_battery(count=12, seed=5, max_nvars=4))
+        + _raw_ideals(12, seed=11)
+    )
+    real_profile = verify.cohomology_profile
+    breakers = (lambda by_pattern, nvars, top: by_pattern, _rank_plus_one, _dropped_pattern, _extra_pattern)
+    failed = 0
+    for ideal in ideals:
+        real = real_profile(ideal)
+        g_raw, nvars = len(ideal.generators), ideal.context.nvars
+        top = max(g_raw, real.gen_count)
+        for bound in (2, 3):
+            box = [
+                (list(alpha), ideal.context.sign_pattern(alpha),
+                 _cech_dims(_witness_search(ideal.generators, alpha), g_raw))
+                for alpha in product(range(-bound, bound + 1), repeat=nvars)
+            ]
+            for breaker in breakers:
+                broken = CohomologyProfile(real.ideal, real.gen_count, breaker(real.by_pattern, nvars, top))
+                hits = []
+                for alpha, pattern, dims in box:
+                    for i in range(-1, top + 2):
+                        oracle = dims[i] if 0 <= i < len(dims) else 0
+                        engine = broken.h(pattern, i)
+                        if oracle != engine:
+                            hits.append((alpha, i, oracle, engine))
+                monkeypatch.setattr(verify, "cohomology_profile", lambda ideal, b=broken: b)
+                [result] = oracle_compare(ideal, bound).results
+                if not hits:
+                    assert result.status == "pass", (ideal, bound)
+                    assert result.witness == {"bound": bound, "points": len(box)}
+                    continue
+                failed += 1
+                assert result.status == "fail", (ideal, bound)
+                alpha, i, oracle, engine = hits[0]
+                expected = dict(alpha=alpha, i=i, oracle=oracle, engine=engine, mismatch_count=len(hits))
+                assert result.witness == {"ideal": ideal.spec_dict(), **expected}, (ideal, bound)
+    assert failed == 3 * 2 * len(ideals)
+
+
+def test_oracle_compare_decides_one_point_per_set_of_negative_coordinates(monkeypatch):
+    calls = []
+    real = verify._alive_by_divisibility
+
+    def counted(rows, alpha):
+        calls.append(alpha)
+        return real(rows, alpha)
+
+    monkeypatch.setattr(verify, "_alive_by_divisibility", counted)
+    for nvars, bound in ((3, 2), (5, 2), (5, 3)):
+        calls.clear()
+        assert oracle_compare(random_ideal(1, 1, nvars - 1, 4), bound).passed
+        assert len(calls) == len(set(calls)) == 2**nvars
+        assert {a for alpha in calls for a in alpha} == {-bound, 0}
+
+
+def test_theorem_suite_skips_the_oracle_past_its_raw_generator_cap():
+    # on five variables, but 22 raw generators: 2^22 subsets per point
+    ctx = VariableContext((), tuple(f"X{v}" for v in range(1, 6)))
+    generators = [(k, 1, 0, 0, 0) for k in range(1, 21)] + [(0, 0, 1, 1, 0), (0, 0, 0, 0, 1)]
+    report = theorem_suite(MonomialIdeal(ctx, generators))
+    [oracle] = [r for r in report.results if r.name == "oracle-box"]
+    assert oracle.status == "skip"
+    assert oracle.witness == {"reason": "window sweep capped at 10 raw generators"}
+    assert report.passed
 
 
 def test_oracle_compare_rejects_tiny_boxes():
