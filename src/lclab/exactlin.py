@@ -1,11 +1,13 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything in here is exact: matrices carry Python ints (arbitrary
-precision), and ranks, kernels and solves all come from one fraction-free
-echelon routine on integer rows (a forward pass, plus a back step where a
-basis is read off).  Rationals (``fractions.Fraction``) appear only in
-results: solve coefficients, rank of rational rows, and the binomial-basis
-polynomials.  No floating point anywhere.
+precision), and ranks and kernels come from one fraction-free echelon
+routine on integer rows (a forward pass, plus a back step where a basis
+is read off).  Rationals (``fractions.Fraction``) appear only in the
+binomial-basis polynomials and in two routines no part of the package
+calls, ``solve_columns`` and ``rank_fraction_rows``, which stay because
+the benchmark's span tracer (bench/tracer.py) wraps them by name.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -262,8 +264,8 @@ class IntegerPolynomial:
 # The elimination core.  Everything runs on Python ints: a row is cleared
 # by ``piv*row_i - t*row_r`` and then divided by its content, so every
 # row stays a nonzero multiple of the matching row over Q.  ``rank`` uses
-# the forward pass alone; kernels, solves and cycle representatives read
-# pivots (and, for a basis, the back step) off the same pass.
+# the forward pass alone; kernels and solves read pivots and the back step
+# off the same pass.
 # ---------------------------------------------------------------------------
 
 
@@ -324,12 +326,6 @@ def rank(matrix):
     """Rank of an ExactMatrix over the rationals: the pivot count of the
     fraction-free forward pass (no back elimination)."""
     return len(_forward(matrix.to_rows())[1])
-
-
-def pivot_columns(columns):
-    """Indices j, in increasing order, of the integer columns that are not
-    in the span of the columns before them."""
-    return _forward(list(zip(*columns)))[1]
 
 
 def kernel_basis(matrix):

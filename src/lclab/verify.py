@@ -62,31 +62,24 @@ from .weylact import (
 # ---------------------------------------------------------------------------
 
 
-def _mask_exponent_sums(generators):
-    """Exponent vector of the product monomial for every generator subset."""
-    g = len(generators)
-    nvars = len(generators[0])
-    sums = [None] * (1 << g)
-    sums[0] = tuple([0] * nvars)
-    for mask in range(1, 1 << g):
-        low = mask & -mask
-        j = low.bit_length() - 1
-        prev = sums[mask ^ low]
-        sums[mask] = tuple(a + b for a, b in zip(prev, generators[j]))
-    return sums
-
-
 def _positive_rows(generators):
     """Per-variable survival rows over every generator subset, with no bound.
 
     Bit σ of ``rows[v]`` is set when the product x^e of subset σ, read off
-    the raw exponents as written, has e_v > 0; ``full`` has every bit set.
+    the raw exponents as written, has e_v > 0, that is, when some generator
+    in σ has a positive exponent at v; ``full`` has every bit set.  A row is
+    built by doubling over the generators: a σ whose highest generator is j
+    is σ' + 2^j for some σ' < 2^j, and it is in the row when generator j is
+    positive at v, or else when σ' is.
     """
-    sums = _mask_exponent_sums(generators)
-    rows = [
-        sum(1 << mask for mask, e in enumerate(sums) if e[v] > 0) for v in range(len(sums[0]))
-    ]
-    return (1 << len(sums)) - 1, rows
+    rows = []
+    for v in range(len(generators[0])):
+        row = 0
+        for j, gen in enumerate(generators):
+            width = 1 << j
+            row |= (((1 << width) - 1) if gen[v] > 0 else row) << width
+        rows.append(row)
+    return (1 << (1 << len(generators))) - 1, rows
 
 
 def _alive_by_divisibility(rows, alpha):

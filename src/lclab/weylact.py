@@ -7,7 +7,8 @@ partial derivative.  Away from the walls α_v = −1 (for multiplication)
 and α_v = 0 (for derivatives) every transition is an isomorphism, so
 kernels and cokernels live on finitely many walls and the homology of
 the one-variable two-term complexes aggregates wall data with lattice
-counts.  That reduction is what makes Koszul/de Rham homology and socle
+counts.  A wall enters only through the rank of the map it induces.
+That reduction is what makes Koszul/de Rham homology and socle
 extraction exact and fast.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .exactlin import kernel_basis, pivot_columns, rank_fraction_rows, solve_columns
+from .exactlin import ExactMatrix, kernel_basis, rank
 from .monocech import (
     DimValue,
     _complex_from_basis,
@@ -54,7 +55,7 @@ class KoszulConvention:
 
 
 # ---------------------------------------------------------------------------
-# small exact matrix helpers (integer rows, rational only after a solve)
+# small exact matrix helpers (integer rows)
 # ---------------------------------------------------------------------------
 
 
@@ -84,14 +85,14 @@ class PatternModulePresentation:
     """Base for modules with pattern-indexed pieces and wall transitions.
 
     Subclasses provide ``pattern_dim``, ``patterns`` and the crossing
-    matrices; everything else (crossing ranks, generic transitions,
-    derivatives, coarse dimensions) is derived here.
+    matrices or ``image_rank``; everything else (crossing ranks, generic
+    transitions, derivatives, coarse dimensions) is derived here.
     """
 
     def __init__(self, context):
         self.context = context
         self._euler = None  # (α, Euler matrix) of the last α checked
-        self._ranks = {}  # (pattern, v) -> rank of mult_crossing(pattern, v)
+        self._ranks = {}  # (pattern, v) -> crossing_rank(pattern, v)
 
     def pattern_dim(self, pattern):
         raise NotImplementedError
@@ -104,17 +105,23 @@ class PatternModulePresentation:
         """Matrix of multiplication by v across the wall α_v = −1.
 
         Maps the piece at ``pattern`` (which contains v) to the piece at
-        pattern ∖ {v}; integer rows, rational only after a solve.
+        pattern ∖ {v}, on integer rows.
         """
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} carries crossing ranks, not matrices")
+
+    def image_rank(self, pattern, variables):
+        """Rank of the map from the piece at ``pattern`` into the pieces
+        across the walls of ``variables``: of the stacked crossing matrices."""
+        rows = [row for v in variables for row in self.mult_crossing(pattern, v)]
+        return rank(ExactMatrix.from_rows(rows, self.pattern_dim(pattern)))
 
     def crossing_rank(self, pattern, v):
-        """Rank of mult_crossing(pattern, v), computed once per (pattern, v):
-        a crossing does not depend on the degree, so every degree of a
-        homology query reads the same rank."""
+        """image_rank over {v}, computed once per (pattern, v): a crossing
+        does not depend on the degree, so every degree of a homology query
+        reads the same rank."""
         key = (frozenset(pattern), v)
         if key not in self._ranks:
-            self._ranks[key] = rank_fraction_rows(self.mult_crossing(*key))
+            self._ranks[key] = self.image_rank(key[0], (v,))
         return self._ranks[key]
 
     def piece_dim(self, alpha):
@@ -196,17 +203,15 @@ class LocalizationModule(PatternModulePresentation):
 
 class LocalCohomologyModule(PatternModulePresentation):
     """An index-i torsion cohomology module of a monomial ideal, presented
-    pattern-wise with explicit cohomology-class bases.
+    pattern-wise by the profile's ranks.
 
-    Per pattern the piece gets a basis of integer cycle vectors chosen to
-    extend the boundary space; wall crossings are computed by pushing a
-    representative through the chain-level inclusion of alive subsets and
-    re-expressing it modulo boundaries in the target basis.
-
-    Each crossing reads the slice data of its two patterns; the module
-    keeps only crossing ranks (in the base class), which every degree of a
-    homology query reuses.  A crossing matrix is built whenever it is asked
-    for and belongs to the caller.
+    A wall crossing is read as one rank: the source slice's cocycles pass
+    through the chain-level inclusion of alive subsets and are counted
+    modulo the target slice's coboundaries, with no basis chosen for
+    either piece.  The module keeps only these ranks (in the base class),
+    which every degree of a homology query reuses; it offers no crossing
+    matrix, so a transition across a wall α_v = −1 raises
+    NotImplementedError.
 
     Every index is accepted: one outside 0..g (g the generator count) has
     no nonzero pattern in the profile, so it reads as the zero module, as
@@ -226,64 +231,56 @@ class LocalCohomologyModule(PatternModulePresentation):
     def patterns(self):
         return [c.pattern for c in self.profile.contributors(self.i)]
 
-    def _slice_data(self, pattern):
-        """(level, boundary_cols, reps) of one pattern: the alive subsets of
-        the middle level, a basis of the boundary space and cycle
-        representatives on top of it, in the basis of that level."""
-        i = self.i
+    def _slice(self, pattern):
+        """(basis, diffs, r) at one pattern: slice_basis's levels, the slice
+        differentials, and the rank r of d^{i−1}, read off the profile with
+        no elimination: r_{−1} = 0 and r_k = |C^k| − h^k − r_{k−1}."""
         basis = slice_basis(self.ideal, pattern)
-        diffs = _complex_from_basis(basis).diffs
-        level = basis[i] if i < len(basis) else []
-        c_i = len(level)
-        if i < len(diffs):
-            cycles = kernel_basis(diffs[i])
-        else:
-            # top level: everything is a cycle
-            cycles = [[1 if t == s else 0 for t in range(c_i)] for s in range(c_i)]
-        boundaries = diffs[i - 1].transpose().to_rows() if 1 <= i <= len(diffs) else []
-        # a column counts when it is outside the span of the columns before
-        # it: the boundaries that count are a basis of the boundary space,
-        # and the cycles that count are the new classes
-        nb = len(boundaries)
-        pivots = pivot_columns(boundaries + cycles)
-        boundary_cols = [boundaries[p] for p in pivots if p < nb]
-        reps = [cycles[p - nb] for p in pivots if p >= nb]
-        if len(reps) != self.pattern_dim(pattern):
-            raise AssertionError(
-                f"cohomology basis size {len(reps)} disagrees with rank count "
-                f"{self.pattern_dim(pattern)} at pattern {sorted(pattern)}"
-            )
-        return level, boundary_cols, reps
+        r = 0
+        for k in range(self.i):
+            r = len(basis[k]) - self.profile.h(pattern, k) - r
+        return basis, _complex_from_basis(basis).diffs, r
 
-    def mult_crossing(self, pattern, v):
+    def image_rank(self, pattern, variables):
+        """Rank of H^i(P) → ⊕_v H^i(P∖v): the source's cocycles, included
+        into each target slice by position (the alive family only grows as
+        the pattern shrinks) and stacked with every target's d^{i−1}
+        columns, ranked once, less the targets' coboundary ranks."""
         pattern = frozenset(pattern)
-        if v not in pattern:
+        if not pattern.issuperset(variables):
             raise ValueError("crossing needs the variable negative on the source side")
-        target = pattern - {v}
-        src_dim = self.pattern_dim(pattern)
-        tgt_dim = self.pattern_dim(target)
-        if src_dim == 0 or tgt_dim == 0:
-            return _zero_rows(tgt_dim, src_dim)
-        src_level, _, src_reps = self._slice_data(pattern)
-        tgt_level, boundary_cols, tgt_reps = self._slice_data(target)
-        position = {sigma: t for t, sigma in enumerate(tgt_level)}
-        nb = len(boundary_cols)
-        columns = boundary_cols + tgt_reps
-        out_cols = []
-        for z in src_reps:
-            # the alive family only grows when the pattern shrinks, so the
-            # chain map is the basis inclusion of subsets
-            image = [0] * len(tgt_level)
-            for coeff, sigma in zip(z, src_level):
-                if coeff:
-                    image[position[sigma]] = coeff
-            sol = solve_columns(columns, image)
-            if sol is None:
-                raise AssertionError(
-                    f"crossing image escaped the cycle space at {sorted(pattern)} -> {sorted(target)}"
-                )
-            out_cols.append(sol[nb:])
-        return [[out_cols[j][r] for j in range(src_dim)] for r in range(tgt_dim)]
+        i = self.i
+        dim = self.pattern_dim(pattern)
+        targets = [pattern - {v} for v in variables if self.pattern_dim(pattern - {v})]
+        if not dim or not targets:
+            return 0
+        basis, diffs, r = self._slice(pattern)
+        level = basis[i]
+        # the top level has no d^i: all of it is cocycles
+        cocycles = kernel_basis(diffs[i] if i < len(diffs) else ExactMatrix(0, len(level)))
+        if len(cocycles) - r != dim:
+            raise AssertionError(
+                f"{len(cocycles) - r} cocycle classes, not {dim}, at pattern {sorted(pattern)}"
+            )
+        entries = {}
+        nrows = ncols = coboundaries = 0
+        for target in targets:
+            t_basis, t_diffs, t_r = self._slice(target)
+            position = {sigma: nrows + t for t, sigma in enumerate(t_basis[i])}
+            for col, z in enumerate(cocycles):
+                for coeff, sigma in zip(z, level):
+                    if coeff:
+                        entries[position[sigma], col] = coeff
+            if i:
+                for (row, col), x in t_diffs[i - 1].entries.items():
+                    entries[nrows + row, len(cocycles) + ncols + col] = x
+                ncols += len(t_basis[i - 1])
+            nrows += len(t_basis[i])
+            coboundaries += t_r
+        image = rank(ExactMatrix(nrows, len(cocycles) + ncols, entries)) - coboundaries
+        if not 0 <= image <= min(dim, sum(map(self.pattern_dim, targets))):
+            raise AssertionError(f"image rank {image} out of range at pattern {sorted(pattern)}")
+        return image
 
     def __repr__(self):
         return f"LocalCohomologyModule({self.ideal!r}, i={self.i})"
@@ -298,9 +295,9 @@ def _euler_matrix(module, alpha):
     """Σ X_v ∂_v on piece(α): over each degree-1 variable, the product of
     the derivative and the multiplication back, summed on integer rows.
 
-    The wall crossing back, rational only after its solve, is only reached
-    at α_v = 0, where the derivative is zero, so a zero derivative skips
-    the term before the crossing is built."""
+    The wall crossing back is only reached at α_v = 0, where the
+    derivative is zero, so a zero derivative skips the term before the
+    crossing is asked for."""
     ctx = module.context
     dim = module.piece_dim(alpha)
     total = _zero_rows(dim, dim)
@@ -458,8 +455,8 @@ def koszul_homology_Y(ideal, i, n):
 
     Away from the all-(−1) corner some Y-transition is an isomorphism, so
     only corner multidegrees contribute; there the joint kernel is the
-    nullspace of the stacked crossing matrices, weighted by the count of
-    degree-1 exponent tails.
+    piece less the rank of its map into every Y-crossing at once, weighted
+    by the count of degree-1 exponent tails.
     """
     module = LocalCohomologyModule(ideal, i)
     ctx = module.context
@@ -470,11 +467,7 @@ def koszul_homology_Y(ideal, i, n):
     for pattern in module.patterns():
         if not y_all <= pattern:
             continue
-        dim = module.pattern_dim(pattern)
-        stacked = []
-        for j in sorted(y_all):
-            stacked.extend(module.mult_crossing(pattern, j))
-        socle = dim - rank_fraction_rows(stacked)
+        socle = module.pattern_dim(pattern) - module.image_rank(pattern, sorted(y_all))
         if socle:
             k = len(pattern & ctx.x_indices)
             total = total + x_lattice_count(ctx.m, k, n).scaled(socle)

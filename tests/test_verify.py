@@ -132,11 +132,12 @@ def _witness_search(generators, alpha):
     """The alive family at α by a literal search for a power t ≤ max|α_v|
     with α + t·e ≥ 0, over every generator subset's exponent sum e."""
     bound = max(map(abs, alpha), default=0)
-    return sum(
-        1 << mask
-        for mask, e in enumerate(verify._mask_exponent_sums(generators))
-        if any(all(a + t * ev >= 0 for a, ev in zip(alpha, e)) for t in range(bound + 1))
-    )
+    alive = 0
+    for mask in range(1 << len(generators)):
+        e = [sum(g[v] for j, g in enumerate(generators) if mask >> j & 1) for v in range(len(alpha))]
+        if any(all(a + t * ev >= 0 for a, ev in zip(alpha, e)) for t in range(bound + 1)):
+            alive |= 1 << mask
+    return alive
 
 
 @settings(max_examples=300, deadline=None)

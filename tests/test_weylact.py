@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lclab import monocech, verify, weylact
-from lclab.exactlin import kernel_basis
 from lclab.monocech import (
     INFINITE,
+    CohomologyProfile,
     DimValue,
     MonomialIdeal,
     PatternShape,
     VariableContext,
     cohomology_profile,
-    slice_complex,
 )
 from lclab.verify import exhaustive_ideals, random_battery
 from lclab.weylact import (
@@ -72,35 +71,6 @@ def matmul(a, b, out_cols):
     ]
 
 
-def greedy_reps(boundary_cols, cycles):
-    """Reference cycle representatives: grow a span over Fraction, kept in
-    reduced row-echelon form, by the boundaries and then the cycles, and
-    keep each cycle that makes it grow."""
-    rows, pivots = [], []
-
-    def add(vec):
-        res = [Fraction(v) for v in vec]
-        for row, p in zip(rows, pivots):
-            if res[p]:
-                f = res[p]
-                res = [a - f * b for a, b in zip(res, row)]
-        p = next((j for j, v in enumerate(res) if v), None)
-        if p is None:
-            return False
-        res = [v / res[p] for v in res]
-        for t, row in enumerate(rows):
-            if row[p]:
-                f = row[p]
-                rows[t] = [a - f * b for a, b in zip(row, res)]
-        rows.append(res)
-        pivots.append(p)
-        return True
-
-    for col in boundary_cols:
-        add(col)
-    return [z for z in cycles if add(z)]
-
-
 # ---------------------------------------------------------------------------
 # presentations
 # ---------------------------------------------------------------------------
@@ -124,27 +94,6 @@ def test_cohomology_module_dims_match_profile():
     assert mod.pattern_dim(frozenset({2})) == 0
 
 
-def test_slice_reps_match_greedy_span_selection():
-    checked = with_boundaries = 0
-    for ideal in exhaustive_ideals(3):
-        nvars = ideal.context.nvars
-        for i in range(len(ideal.generators) + 2):
-            module = LocalCohomologyModule(ideal, i)
-            for r in range(nvars + 1):
-                for pattern in map(frozenset, combinations(range(nvars), r)):
-                    diffs = slice_complex(module.ideal, pattern).diffs
-                    level, boundary_cols, reps = module._slice_data(pattern)
-                    c_i = len(level)
-                    if i < len(diffs):
-                        cycles = kernel_basis(diffs[i])
-                    else:
-                        cycles = [[int(t == s) for t in range(c_i)] for s in range(c_i)]
-                    assert reps == greedy_reps(boundary_cols, cycles), (ideal, i, pattern)
-                    checked += 1
-                    with_boundaries += bool(reps and boundary_cols)
-    assert (checked, with_boundaries) == (1718, 9)
-
-
 def test_transition_identity_off_the_wall():
     mod = LocalCohomologyModule(MIXED, 1)
     # Y1 negative but not at −1: same pattern on both sides
@@ -155,9 +104,12 @@ def test_transition_identity_off_the_wall():
 def test_crossing_out_of_the_module_is_zero_shaped():
     mod = LocalCohomologyModule(MIXED, 1)
     # crossing Y1 at the wall leaves the only contributing pattern
-    assert mod.transition((-1, 0, 0), 0) == []
+    assert mod.crossing_rank({0}, 0) == 0
     with pytest.raises(ValueError):
-        mod.mult_crossing(frozenset({1}), 0)
+        mod.crossing_rank(frozenset({1}), 0)
+    # the module carries crossing ranks, not crossing matrices
+    with pytest.raises(NotImplementedError, match="crossing ranks, not matrices"):
+        mod.transition((-1, 0, 0), 0)
 
 
 def test_derham_transition_scalars():
@@ -224,11 +176,10 @@ def test_transition_squares_commute(data):
         st.sampled_from(
             [
                 R2,
-                H2,
-                MFREE,
+                LocalizationModule(CTX2, {0}),
+                LocalizationModule(CTX2, {0, 1}),
                 LocalizationModule(CTX_MIX, {0, 1}),
-                LocalCohomologyModule(MIXED, 1),
-                LocalCohomologyModule(MIXED, 2),
+                LocalizationModule(CTX_MIX, {1, 2}),
             ]
         )
     )
@@ -307,8 +258,7 @@ def test_koszul_infinite_with_witness():
 
 
 # ---------------------------------------------------------------------------
-# slice data and crossing ranks are computed once per module and shared
-# across degrees
+# crossing ranks are computed once per module and shared across degrees
 # ---------------------------------------------------------------------------
 
 SHARED_IDEALS = pytest.mark.parametrize(
@@ -347,85 +297,137 @@ def test_crossings_after_a_degree_range_match_a_fresh_module(ideal):
             for v in range(ctx.nvars):
                 source = pattern | {v}
                 fresh = LocalCohomologyModule(ideal, i)
-                assert module.mult_crossing(source, v) == fresh.mult_crossing(source, v), (i, pattern, v)
-                fresh = LocalCohomologyModule(ideal, i)
                 assert module.crossing_rank(source, v) == fresh.crossing_rank(source, v), (i, pattern, v)
                 checked += 1
     assert checked or not cohomology_profile(ideal).by_pattern
 
 
-def test_mutating_a_crossing_leaves_the_module_intact():
-    module = LocalCohomologyModule(MIXED, 2)
-    pattern = frozenset({0, 1, 2})
-    expected = [list(row) for row in module.mult_crossing(pattern, 0)]
-    assert len(expected) == 1 and len(expected[0]) == 1 and expected[0][0] != 0
-    got = module.mult_crossing(pattern, 0)
-    got[0][0] += 7
-    got.append([Fraction(5)])
-    assert module.mult_crossing(pattern, 0) == expected
-
-
 def test_koszul_over_a_degree_range_builds_each_crossing_once(monkeypatch):
-    solves = []
-    ranks = []
+    calls = Counter()
     built = Counter()
-    real_solve = weylact.solve_columns
-    real_rank = weylact.rank_fraction_rows
-    real_build = LocalCohomologyModule.mult_crossing
+    real_rank = weylact.rank
+    real_kernel = weylact.kernel_basis
+    real_build = LocalCohomologyModule.image_rank
 
-    def counting_solve(columns, target):
-        solves.append(target)
-        return real_solve(columns, target)
+    def counting_rank(matrix):
+        calls["rank"] += 1
+        return real_rank(matrix)
 
-    def counting_rank(rows):
-        ranks.append(rows)
-        return real_rank(rows)
+    def counting_kernel(matrix):
+        calls["kernel_basis"] += 1
+        return real_kernel(matrix)
 
-    def counting_build(self, pattern, v):
-        built[pattern, v] += 1
-        return real_build(self, pattern, v)
+    def counting_build(self, pattern, variables):
+        built[pattern, tuple(variables)] += 1
+        return real_build(self, pattern, variables)
 
-    monkeypatch.setattr(weylact, "solve_columns", counting_solve)
-    monkeypatch.setattr(weylact, "rank_fraction_rows", counting_rank)
-    monkeypatch.setattr(LocalCohomologyModule, "mult_crossing", counting_build)
+    monkeypatch.setattr(weylact, "rank", counting_rank)
+    monkeypatch.setattr(weylact, "kernel_basis", counting_kernel)
+    monkeypatch.setattr(LocalCohomologyModule, "image_rank", counting_build)
     module = LocalCohomologyModule(C7, 4)
     koszul_homology_X(module, 0, -6)
-    after_first_degree = len(solves)
-    assert after_first_degree > 0
+    after_first_degree = dict(calls)
+    assert after_first_degree["rank"] > 0 and after_first_degree["kernel_basis"] > 0
     for n in range(-5, 7):  # 13 degrees in all
         koszul_homology_X(module, 0, n)
-    assert len(solves) == after_first_degree
-    assert built and set(built.values()) == {1}
+    assert calls == after_first_degree
     # one rank per (pattern, v) crossing, however many degrees read it
-    assert len(ranks) == len(built)
+    assert built and set(built.values()) == {1}
+    assert all(len(variables) == 1 for _, variables in built)
 
 
 @pytest.mark.parametrize(
     "ideal, i, v", [(C7, 4, 0), (C7, 4, 3), (cycle_ideal(8), 5, 0), (MIXED, 2, 0)], ids=["C7-X1", "C7-X4", "C8-X1", "mixed-Y1"]
 )
 def test_koszul_over_a_degree_range_finds_each_alive_family_once(monkeypatch, ideal, i, v):
-    found, read = Counter(), Counter()
+    found = Counter()
     real_alive = monocech._alive_masks
-    real_slice_data = LocalCohomologyModule._slice_data
 
     def counting_alive(supports, pattern):
         found[supports, pattern] += 1
         return real_alive(supports, pattern)
 
-    def counting_slice_data(self, pattern):
-        read[pattern] += 1
-        return real_slice_data(self, pattern)
-
     monkeypatch.setattr(monocech, "_alive_masks", counting_alive)
-    monkeypatch.setattr(LocalCohomologyModule, "_slice_data", counting_slice_data)
     module = LocalCohomologyModule(ideal, i)
     for n in range(-6, 7):
         koszul_homology_X(module, v, n)
-    # one alive family per pattern whose slice data the crossings read, and
-    # each pattern's slice data read once
+    # each slice a crossing builds finds its alive family once
     assert found and set(found.values()) == {1}
-    assert set(read.values()) == {1}
-    assert len(found) == len(read)
+
+
+@pytest.mark.parametrize(
+    "pattern, k, message",
+    [({0, 1, 2}, 2, "1 cocycle classes, not 2"), ({1, 2}, 1, "image rank 2 out of range")],
+    ids=["source-rank", "target-rank"],
+)
+def test_a_profile_fault_fails_the_crossing_check(pattern, k, message):
+    # one rank of the profile off by one, at the source or at the target of
+    # the crossing of Y1 out of {Y1, Y2, X1}, whose true rank is 1
+    module = LocalCohomologyModule(MIXED, 2)
+    assert module.crossing_rank({0, 1, 2}, 0) == 1
+    real = module.profile
+    dims = list(real.by_pattern[frozenset(pattern)])
+    dims[k] += 1
+    broken = LocalCohomologyModule(MIXED, 2)
+    broken.profile = CohomologyProfile(
+        real.ideal, real.gen_count, {**real.by_pattern, frozenset(pattern): tuple(dims)}
+    )
+    with pytest.raises(AssertionError, match=rf"{message}.* at pattern \[0, 1, 2\]"):
+        broken.crossing_rank({0, 1, 2}, 0)
+
+
+def _les_ranks(h_sub, h_whole, c):
+    """Ranks of H^k(A) → H^k(B), k = 0..g, read off the long exact
+    sequence of a subcomplex C(A) ⊂ C(B) whose quotient has cohomology c:
+    ρ_0 = h^0(A) and ρ_{k+1} = h^{k+1}(A) + h^k(B) − ρ_k − c_k.  The last
+    connecting map must vanish, since there is no H^{g+1}(A)."""
+    rho = [h_sub[0]]
+    for k in range(len(c) - 1):
+        rho.append(h_sub[k + 1] + h_whole[k] - rho[k] - c[k])
+    assert c[-1] - h_whole[-1] + rho[-1] == 0
+    return rho
+
+
+def test_crossing_ranks_match_the_long_exact_sequences():
+    # a crossing (P, v) is the map induced by C(A) ⊂ C(B), A = alive(P) and
+    # B = alive(P∖v), with quotient complex C(B∖A); two Y-crossings at once
+    # are the middle map of the Mayer–Vietoris sequence of C(B1), C(B2),
+    # which meet in C(A) and span C(B1 ∪ B2).  Neither route chooses a
+    # cocycle or calls kernel_basis.
+    pairs = nonzero = corners = stacked = 0
+    for ideal in [*exhaustive_ideals(4), *random_battery(count=400, seed=9, max_nvars=7)]:
+        ideal = monocech.normalize(ideal)
+        g = len(ideal.supports)
+        profile = cohomology_profile(ideal)
+        modules = [LocalCohomologyModule(ideal, k) for k in range(g + 1)]
+
+        def alive(pattern):
+            return monocech._alive_masks(ideal.supports, pattern)
+
+        def dims(pattern):
+            return [profile.h(pattern, k) for k in range(g + 1)]
+
+        for pattern in profile.patterns():
+            for v in pattern:
+                target = pattern - {v}
+                quotient = monocech._cech_dims(alive(target) & ~alive(pattern), g)
+                rho = _les_ranks(dims(pattern), dims(target), quotient)
+                assert [m.crossing_rank(pattern, v) for m in modules] == rho, (ideal, pattern, v)
+                pairs += 1
+                nonzero += sum(map(bool, rho))
+            for y1, y2 in combinations(sorted(pattern & ideal.context.y_indices), 2):
+                b1, b2 = alive(pattern - {y1}), alive(pattern - {y2})
+                assert b1 & b2 == alive(pattern)
+                both = [a + b for a, b in zip(dims(pattern - {y1}), dims(pattern - {y2}))]
+                rho = _les_ranks(dims(pattern), both, monocech._cech_dims(b1 | b2, g))
+                assert [m.image_rank(pattern, (y1, y2)) for m in modules] == rho, (ideal, pattern)
+                corners += 1
+                # the stacked rank beats every single crossing rank
+                stacked += any(
+                    r > max(m.crossing_rank(pattern, y1), m.crossing_rank(pattern, y2))
+                    for r, m in zip(rho, modules)
+                )
+    assert (pairs, nonzero, corners, stacked) == (17370, 9068, 3626, 162)
 
 
 def test_euler_check_builds_each_matrix_once(monkeypatch):
@@ -478,10 +480,13 @@ class _JordanModule(weylact.PatternModulePresentation):
 
 
 def test_euler_matrix_matches_the_full_products():
+    # the full products cross the walls, so only modules that carry
+    # crossing matrices take part
     modules = [_JordanModule(CTX2)] + [
-        LocalCohomologyModule(ideal, i)
-        for ideal in exhaustive_ideals(3)
-        for i in range(len(ideal.generators) + 1)
+        LocalizationModule(ctx, inverted)
+        for ctx in (CTX1, CTX2, CTX_MIX)
+        for r in range(ctx.nvars + 1)
+        for inverted in combinations(range(ctx.nvars), r)
     ]
     checked = 0
     for module in modules:
@@ -489,7 +494,8 @@ def test_euler_matrix_matches_the_full_products():
             if module.piece_dim(alpha):
                 assert weylact._euler_matrix(module, alpha) == _euler_by_products(module, alpha)
                 checked += 1
-    assert checked > 1000
+    # 25 Jordan points and 8 + 64 + 512 localization points
+    assert checked == 609
 
 
 def test_maps_off_the_crossings_are_integer_rows():
