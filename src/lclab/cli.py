@@ -465,6 +465,8 @@ def cmd_verify(args):
     chosen = [x for x in (args.spec, "corpus" if args.corpus else None, args.random) if x is not None]
     if len(chosen) != 1:
         raise CliError(2, "pick exactly one of: a spec file, --corpus, or --random N")
+    if args.seed is not None and args.random is None:
+        raise CliError(2, "--seed only applies to --random N")
     ideal = None
     if args.corpus:
         report = run_corpus()
@@ -474,7 +476,7 @@ def cmd_verify(args):
         if args.random > MAX_RANDOM:
             raise CliError(2, f"--random {args.random} is too many ideals; at most {MAX_RANDOM} allowed")
         report = VerificationReport()
-        for member in random_battery(count=args.random, seed=args.seed):
+        for member in random_battery(count=args.random, seed=args.seed or 0):
             report.extend(theorem_suite(member))
     else:
         ideal = parse_spec(args.spec)
@@ -550,7 +552,7 @@ def build_parser():
                      spec="optional")
     sub.add_argument("--corpus", action="store_true", help="run the built-in worked examples")
     sub.add_argument("--random", type=int, metavar="N", help="check N seeded random ideals")
-    sub.add_argument("--seed", type=int, default=0, metavar="S", help="seed for --random")
+    sub.add_argument("--seed", type=int, metavar="S", help="seed for --random (default 0)")
 
     return parser
 

@@ -27,12 +27,12 @@ two face counts add up to 2^|P|.  Each pattern's faces are enumerated
 once, on one side: the search of D_P lists its faces until it knows D_P
 is the larger side, and only then are K|_P's facets expanded into
 faces; the complex is built from that face list.  The generator-side
-slices (slice_complex, slice_basis) serve only the wall crossings, which
-rank one slice's cocycles modulo the next slice's coboundaries; their
-alive family is an AND of one cover row per variable of P, and they and
-the window oracle's _cech_dims build through _complex_from_basis, which
-the profile never calls.  From the profile this module derives
-nonvanishing shapes, dimensions, Hilbert data, localizations and supports.
+slices (slice_complex, slice_basis, their alive family an AND of one
+cover row per variable of P) serve only the socle's joint crossing
+rank; they and the window oracle's _cech_dims build through
+_complex_from_basis, which the profile never calls.  From the profile
+this module derives nonvanishing shapes, dimensions, Hilbert data,
+localizations and supports.
 """
 
 from __future__ import annotations

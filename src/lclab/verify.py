@@ -746,13 +746,9 @@ def run_golden_case(case):
         got = {tuple(sorted(t)) for t in support_min_primes(ideal, i, n)}
         if got != set(expected):
             hits.append({"kind": "min-primes", "i": i, "n": n, "got": sorted(got)})
-    modules = {}  # one per index, so its crossings carry across degrees
     for (i, kind, v, n), expected in sorted(case.koszul.items()):
-        if i not in modules:
-            modules[i] = LocalCohomologyModule(ideal, i)
-        module = modules[i]
         homology = koszul_homology_X if kind == "mult" else derham_homology
-        got = homology(module, v, n)
+        got = homology(LocalCohomologyModule(ideal, i), v, n)
         if got != expected:
             hits.append(
                 {

@@ -19,6 +19,7 @@ from itertools import combinations
 from .exactlin import ExactMatrix, kernel_basis, rank
 from .monocech import (
     DimValue,
+    MonomialIdeal,
     _complex_from_basis,
     cohomology_profile,
     degree_count,
@@ -84,15 +85,14 @@ def _mat_add(a, b):
 class PatternModulePresentation:
     """Base for modules with pattern-indexed pieces and wall transitions.
 
-    Subclasses provide ``pattern_dim``, ``patterns`` and the crossing
-    matrices or ``image_rank``; everything else (crossing ranks, generic
-    transitions, derivatives, coarse dimensions) is derived here.
+    Subclasses provide ``pattern_dim``, ``patterns``, ``crossing_rank``
+    (the rank of multiplication by v out of a pattern holding v, the same
+    at every degree) and, where they carry them, the crossing matrices.
     """
 
     def __init__(self, context):
         self.context = context
         self._euler = None  # (α, Euler matrix) of the last α checked
-        self._ranks = {}  # (pattern, v) -> crossing_rank(pattern, v)
 
     def pattern_dim(self, pattern):
         raise NotImplementedError
@@ -108,21 +108,6 @@ class PatternModulePresentation:
         pattern ∖ {v}, on integer rows.
         """
         raise NotImplementedError(f"{type(self).__name__} carries crossing ranks, not matrices")
-
-    def image_rank(self, pattern, variables):
-        """Rank of the map from the piece at ``pattern`` into the pieces
-        across the walls of ``variables``: of the stacked crossing matrices."""
-        rows = [row for v in variables for row in self.mult_crossing(pattern, v)]
-        return rank(ExactMatrix.from_rows(rows, self.pattern_dim(pattern)))
-
-    def crossing_rank(self, pattern, v):
-        """image_rank over {v}, computed once per (pattern, v): a crossing
-        does not depend on the degree, so every degree of a homology query
-        reads the same rank."""
-        key = (frozenset(pattern), v)
-        if key not in self._ranks:
-            self._ranks[key] = self.image_rank(key[0], (v,))
-        return self._ranks[key]
 
     def piece_dim(self, alpha):
         return self.pattern_dim(self.context.sign_pattern(alpha))
@@ -187,6 +172,10 @@ class LocalizationModule(PatternModulePresentation):
             frozenset(c) for r in range(len(inv) + 1) for c in combinations(inv, r)
         ]
 
+    def crossing_rank(self, pattern, v):
+        # one-dimensional pieces, and the identity between nonzero ones
+        return self.pattern_dim(pattern)
+
     def mult_crossing(self, pattern, v):
         pattern = frozenset(pattern)
         src = self.pattern_dim(pattern)
@@ -205,13 +194,10 @@ class LocalCohomologyModule(PatternModulePresentation):
     """An index-i torsion cohomology module of a monomial ideal, presented
     pattern-wise by the profile's ranks.
 
-    A wall crossing is read as one rank: the source slice's cocycles pass
-    through the chain-level inclusion of alive subsets and are counted
-    modulo the target slice's coboundaries, with no basis chosen for
-    either piece.  The module keeps only these ranks (in the base class),
-    which every degree of a homology query reuses; it offers no crossing
-    matrix, so a transition across a wall α_v = −1 raises
-    NotImplementedError.
+    A wall crossing is one rank, read off two cached profiles by the long
+    exact sequence of a pair of slices, with no complex built.  The module
+    offers no crossing matrix, so a transition across a wall α_v = −1
+    raises NotImplementedError.
 
     Every index is accepted: one outside 0..g (g the generator count) has
     no nonzero pattern in the profile, so it reads as the zero module, as
@@ -231,56 +217,30 @@ class LocalCohomologyModule(PatternModulePresentation):
     def patterns(self):
         return [c.pattern for c in self.profile.contributors(self.i)]
 
-    def _slice(self, pattern):
-        """(basis, diffs, r) at one pattern: slice_basis's levels, the slice
-        differentials, and the rank r of d^{i−1}, read off the profile with
-        no elimination: r_{−1} = 0 and r_k = |C^k| − h^k − r_{k−1}."""
-        basis = slice_basis(self.ideal, pattern)
-        r = 0
-        for k in range(self.i):
-            r = len(basis[k]) - self.profile.h(pattern, k) - r
-        return basis, _complex_from_basis(basis).diffs, r
-
-    def image_rank(self, pattern, variables):
-        """Rank of H^i(P) → ⊕_v H^i(P∖v): the source's cocycles, included
-        into each target slice by position (the alive family only grows as
-        the pattern shrinks) and stacked with every target's d^{i−1}
-        columns, ranked once, less the targets' coboundary ranks."""
+    def crossing_rank(self, pattern, v):
+        """Rank ρ_i of H^i(P) → H^i(P∖v), by the long exact sequence of the
+        pair C(A) ⊂ C(B), A = alive(P) ⊆ B = alive(P∖v).  σ lies in B∖A
+        exactly when its generators all miss v and supp σ ⊇ P∖v, so the
+        quotient is the slice at P∖v of I_v, the ideal of the generators
+        missing v, with the same signs.  With a, b, c the ranks at A, B and
+        of I_v: ρ_{−1} = 0, ρ_k = a_k + b_{k−1} − c_{k−1} − ρ_{k−1}, and each
+        ρ_k lies in [0, min(a_k, b_k)], which closes the sequence at 0."""
         pattern = frozenset(pattern)
-        if not pattern.issuperset(variables):
+        if v not in pattern:
             raise ValueError("crossing needs the variable negative on the source side")
-        i = self.i
-        dim = self.pattern_dim(pattern)
-        targets = [pattern - {v} for v in variables if self.pattern_dim(pattern - {v})]
-        if not dim or not targets:
+        target = pattern - {v}
+        if not self.pattern_dim(pattern) or not self.pattern_dim(target):
             return 0
-        basis, diffs, r = self._slice(pattern)
-        level = basis[i]
-        # the top level has no d^i: all of it is cocycles
-        cocycles = kernel_basis(diffs[i] if i < len(diffs) else ExactMatrix(0, len(level)))
-        if len(cocycles) - r != dim:
-            raise AssertionError(
-                f"{len(cocycles) - r} cocycle classes, not {dim}, at pattern {sorted(pattern)}"
-            )
-        entries = {}
-        nrows = ncols = coboundaries = 0
-        for target in targets:
-            t_basis, t_diffs, t_r = self._slice(target)
-            position = {sigma: nrows + t for t, sigma in enumerate(t_basis[i])}
-            for col, z in enumerate(cocycles):
-                for coeff, sigma in zip(z, level):
-                    if coeff:
-                        entries[position[sigma], col] = coeff
-            if i:
-                for (row, col), x in t_diffs[i - 1].entries.items():
-                    entries[nrows + row, len(cocycles) + ncols + col] = x
-                ncols += len(t_basis[i - 1])
-            nrows += len(t_basis[i])
-            coboundaries += t_r
-        image = rank(ExactMatrix(nrows, len(cocycles) + ncols, entries)) - coboundaries
-        if not 0 <= image <= min(dim, sum(map(self.pattern_dim, targets))):
-            raise AssertionError(f"image rank {image} out of range at pattern {sorted(pattern)}")
-        return image
+        h = self.profile.h
+        rest = [gen for gen, s in zip(self.ideal.generators, self.ideal.supports) if v not in s]
+        c = cohomology_profile(MonomialIdeal(self.context, rest)).h if rest else lambda p, k: 0
+        rho = [0]
+        for k in range(self.profile.gen_count + 2):
+            r = h(pattern, k) + h(target, k - 1) - c(target, k - 1) - rho[-1]
+            if not 0 <= r <= min(h(pattern, k), h(target, k)):
+                raise AssertionError(f"crossing rank {r} out of range in H^{k}, pattern {sorted(pattern)}")
+            rho.append(r)
+        return rho[self.i + 1]
 
     def __repr__(self):
         return f"LocalCohomologyModule({self.ideal!r}, i={self.i})"
@@ -449,14 +409,30 @@ def four_term_check(module, v, kind, n):
 # ---------------------------------------------------------------------------
 
 
+def _slice(module, pattern, low):
+    """(level, d, r) at one pattern: the slice's level i, its differential
+    d^low (zero past either end) built from levels low and low + 1 alone,
+    and the rank r of d^{i−1}, read off the profile with no elimination:
+    r_{−1} = 0 and r_k = |C^k| − h^k − r_{k−1}."""
+    basis = slice_basis(module.ideal, pattern)
+    r = 0
+    for k in range(module.i):
+        r = len(basis[k]) - module.profile.h(pattern, k) - r
+    pair = ([[]] + basis + [[]])[low + 1 : low + 3]
+    return basis[module.i], _complex_from_basis(pair).diffs[0], r
+
+
 def koszul_homology_Y(ideal, i, n):
     """Dimension of the top Koszul homology in all degree-0 variables of
     the index-i cohomology module, at coarse degree n.
 
     Away from the all-(−1) corner some Y-transition is an isomorphism, so
-    only corner multidegrees contribute; there the joint kernel is the
-    piece less the rank of its map into every Y-crossing at once, weighted
-    by the count of degree-1 exponent tails.
+    only corner multidegrees contribute, weighted by the count of degree-1
+    exponent tails; there the joint kernel is the piece less the rank of
+    its map into every Y-crossing at once: of the source slice's cocycles,
+    included by position into each target slice (the alive family only
+    grows as the pattern shrinks) and stacked with the targets' d^{i−1}
+    columns, less the targets' coboundary ranks.
     """
     module = LocalCohomologyModule(ideal, i)
     ctx = module.context
@@ -467,8 +443,32 @@ def koszul_homology_Y(ideal, i, n):
     for pattern in module.patterns():
         if not y_all <= pattern:
             continue
-        socle = module.pattern_dim(pattern) - module.image_rank(pattern, sorted(y_all))
-        if socle:
-            k = len(pattern & ctx.x_indices)
-            total = total + x_lattice_count(ctx.m, k, n).scaled(socle)
+        dim = module.pattern_dim(pattern)
+        targets = [pattern - {y} for y in sorted(y_all) if module.pattern_dim(pattern - {y})]
+        image = 0
+        if targets:
+            level, d, r = _slice(module, pattern, i)
+            cocycles = kernel_basis(d)
+            if len(cocycles) - r != dim:
+                raise AssertionError(
+                    f"{len(cocycles) - r} cocycle classes, not {dim}, at pattern {sorted(pattern)}"
+                )
+            entries = {}
+            nrows = ncols = coboundaries = 0
+            for target in targets:
+                t_level, t_d, t_r = _slice(module, target, i - 1)
+                position = {sigma: nrows + t for t, sigma in enumerate(t_level)}
+                for col, z in enumerate(cocycles):
+                    for coeff, sigma in zip(z, level):
+                        if coeff:
+                            entries[position[sigma], col] = coeff
+                for (row, col), x in t_d.entries.items():
+                    entries[nrows + row, len(cocycles) + ncols + col] = x
+                nrows += t_d.nrows
+                ncols += t_d.ncols
+                coboundaries += t_r
+            image = rank(ExactMatrix(nrows, len(cocycles) + ncols, entries)) - coboundaries
+            if not 0 <= image <= min(dim, sum(map(module.pattern_dim, targets))):
+                raise AssertionError(f"image rank {image} out of range at pattern {sorted(pattern)}")
+        total = total + x_lattice_count(ctx.m, len(pattern & ctx.x_indices), n).scaled(dim - image)
     return total

@@ -518,6 +518,17 @@ def test_verify_requires_exactly_one_target(capsys):
     assert code == 2
 
 
+def test_verify_seed_needs_random(capsys):
+    for target in (["--corpus"], [MIXED_SPEC]):
+        code, out, err = run_cli(capsys, "verify", *target, "--seed", "5")
+        assert code == 2 and not out
+        assert "--seed only applies to --random N" in err
+    # --random alone still means seed 0
+    assert run_cli(capsys, "verify", "--random", "3", "--json") == run_cli(
+        capsys, "verify", "--random", "3", "--seed", "0", "--json"
+    )
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     broken = VerificationReport()
     broken.add("probe", "a law that fails", "fail", {"n": 1})

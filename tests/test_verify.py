@@ -4,7 +4,6 @@ import hashlib
 import json
 import random
 import tracemalloc
-from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -699,23 +698,6 @@ def test_corrupted_koszul_expectation_fails():
         hit["kind"] == "koszul" and hit["got"] == [0, 0]
         for hit in report.failures[0].witness["mismatches"]
     )
-
-
-def test_golden_case_builds_one_koszul_module_per_index(monkeypatch):
-    built = Counter()
-
-    class CountingModule(verify.LocalCohomologyModule):
-        def __init__(self, ideal, i):
-            built[i] += 1
-            super().__init__(ideal, i)
-
-    monkeypatch.setattr(verify, "LocalCohomologyModule", CountingModule)
-    case = next(c for c in golden_corpus() if c.case_id == "maximal-x-m1")
-    extra = {(2, "mult", 0, n): (DimValue(0), DimValue(0)) for n in range(-3, 3)}
-    case = case._replace(koszul={**case.koszul, **extra})
-    assert len(case.koszul) == 12
-    run_golden_case(case)
-    assert built == {1: 1, 2: 1}
 
 
 def test_run_corpus_is_green():
