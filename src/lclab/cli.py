@@ -127,20 +127,28 @@ def _parse_monomial(text, context):
             raise _MonomialError(pos, "dangling '*'")
 
 
-def _locate_generator(raw, gen_text, duplicate_index):
-    """(line, column) of a generator's opening quote in the raw file, or None."""
-    literal = json.dumps(gen_text)
-    start, seen = 0, 0
-    while True:
-        at = raw.find(literal, start)
-        if at < 0:
-            return None
-        if seen == duplicate_index:
-            line = raw.count("\n", 0, at) + 1
-            column = at - (raw.rfind("\n", 0, at) + 1) + 1
-            return line, column
-        seen += 1
-        start = at + 1
+def _locate_generator(raw, k, gen_text):
+    """(line, column) of generator k's opening quote in the raw file, or None
+    when the key or the literal is not written as json.dumps writes it.
+
+    Only the value of the last "generators" key is searched (the one the
+    parser keeps), one string literal at a time, so an equal string
+    elsewhere in the file is never taken for it.  In a file json.loads
+    accepted with known keys only, a plain "generators" followed by a
+    colon is that key, and its list holds strings only, so whitespace and
+    one comma lie between two of them."""
+    keys = list(re.finditer(r'"generators"\s*:\s*\[', raw))
+    if not keys:
+        return None
+    decoder, end = json.JSONDecoder(), keys[-1].end()
+    for _ in range(k + 1):
+        at = re.compile(r"[\s,]*").match(raw, end).end()
+        end = decoder.raw_decode(raw, at)[1]
+    if raw[at:end] != json.dumps(gen_text):
+        return None
+    line = raw.count("\n", 0, at) + 1
+    column = at - (raw.rfind("\n", 0, at) + 1) + 1
+    return line, column
 
 
 def _require_name_list(doc, key, path):
@@ -191,14 +199,11 @@ def parse_spec(path):
     except ValueError as exc:
         raise CliError(2, f"{path}: {exc}") from None
     exponents = []
-    seen_text = {}
     for k, gen_text in enumerate(generators):
-        duplicate_index = seen_text.get(gen_text, 0)
-        seen_text[gen_text] = duplicate_index + 1
         try:
             exponents.append(_parse_monomial(gen_text, context))
         except _MonomialError as exc:
-            where = _locate_generator(raw, gen_text, duplicate_index)
+            where = _locate_generator(raw, k, gen_text)
             if where is not None:
                 line, column = where
                 prefix = f"{path}:{line}:{column + 1 + exc.offset}"

@@ -444,7 +444,8 @@ def _check_euler(ideal, shapes, report):
     It reads only off-wall transitions: a term with a nonzero derivative
     needs α_v ≠ 0, so its multiplication back starts at α_v − 1 ≠ −1 and
     never crosses the wall.  The check therefore re-adds the coarse
-    degree and cannot see a fault in a wall crossing."""
+    degree and cannot see a fault in a wall crossing; reaching a wall
+    would raise ValueError and be recorded as a fail."""
     norm = normalize(ideal)
     nvars = norm.context.nvars
     for i, shape in shapes.items():
@@ -722,43 +723,39 @@ def run_golden_case(case):
     ideal = case.ideal
     d = ideal.context.d
     hits = []
+
+    def hit(kind, expected, got, **key):
+        hits.append({"kind": kind, **key, "expected": expected, "got": got})
+
     for i, shape in sorted(case.shapes.items()):
         got = pattern_report(ideal, i).shape
         if got is not shape:
-            hits.append({"kind": "shape", "i": i, "expected": shape.value, "got": got.value})
+            hit("shape", shape.value, got.value, i=i)
     for (i, n), expected in sorted(case.nonzero.items()):
         got = piece_nonzero(ideal, i, n)
         if got != expected:
-            hits.append({"kind": "nonzero", "i": i, "n": n, "expected": expected, "got": got})
+            hit("nonzero", expected, got, i=i, n=n)
     for (i, n), expected in sorted(case.dims.items()):
         got = piece_dimension(ideal, i, n)
         if got != expected:
-            hits.append({"kind": "dim", "i": i, "n": n, "expected": expected.to_json(), "got": got.to_json()})
+            hit("dim", expected.to_json(), got.to_json(), i=i, n=n)
     for (i, y_part, n), expected in sorted(case.strands.items()):
         got = strand_dimension(ideal, i, y_part, n)
         if got != expected:
-            hits.append({"kind": "strand", "i": i, "n": n, "got": got.to_json()})
+            hit("strand", expected.to_json(), got.to_json(), i=i, y_part=list(y_part), n=n)
     for (i, n), expected in sorted(case.socles.items()):
         got = koszul_homology_Y(ideal, i, n) if d else None
         if got != expected:
-            hits.append({"kind": "socle", "i": i, "n": n, "got": None if got is None else got.to_json()})
+            hit("socle", expected.to_json(), None if got is None else got.to_json(), i=i, n=n)
     for (i, n), expected in sorted(case.min_primes.items()):
         got = {tuple(sorted(t)) for t in support_min_primes(ideal, i, n)}
         if got != set(expected):
-            hits.append({"kind": "min-primes", "i": i, "n": n, "got": sorted(got)})
+            hit("min-primes", sorted(expected), sorted(got), i=i, n=n)
     for (i, kind, v, n), expected in sorted(case.koszul.items()):
         homology = koszul_homology_X if kind == "mult" else derham_homology
         got = homology(LocalCohomologyModule(ideal, i), v, n)
         if got != expected:
-            hits.append(
-                {
-                    "kind": "koszul",
-                    "i": i,
-                    "op": kind,
-                    "n": n,
-                    "got": [got[0].to_json(), got[1].to_json()],
-                }
-            )
+            hit("koszul", [h.to_json() for h in expected], [h.to_json() for h in got], i=i, op=kind, v=v, n=n)
     report.add(
         f"golden:{case.case_id}",
         f"frozen expectations of the {case.source} case hold exactly",

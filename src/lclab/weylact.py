@@ -21,6 +21,7 @@ from .monocech import (
     DimValue,
     MonomialIdeal,
     _complex_from_basis,
+    _profile_normalized,
     cohomology_profile,
     degree_count,
     normalize,
@@ -85,9 +86,10 @@ def _mat_add(a, b):
 class PatternModulePresentation:
     """Base for modules with pattern-indexed pieces and wall transitions.
 
-    Subclasses provide ``pattern_dim``, ``patterns``, ``crossing_rank``
+    Subclasses provide ``pattern_dim``, ``patterns`` and ``crossing_rank``
     (the rank of multiplication by v out of a pattern holding v, the same
-    at every degree) and, where they carry them, the crossing matrices.
+    at every degree).  A wall enters only through that rank: no module
+    carries a crossing matrix.
     """
 
     def __init__(self, context):
@@ -101,28 +103,20 @@ class PatternModulePresentation:
         """All patterns with a nonzero piece, in a deterministic order."""
         raise NotImplementedError
 
-    def mult_crossing(self, pattern, v):
-        """Matrix of multiplication by v across the wall α_v = −1.
-
-        Maps the piece at ``pattern`` (which contains v) to the piece at
-        pattern ∖ {v}, on integer rows.
-        """
-        raise NotImplementedError(f"{type(self).__name__} carries crossing ranks, not matrices")
-
     def piece_dim(self, alpha):
         return self.pattern_dim(self.context.sign_pattern(alpha))
 
     def transition(self, alpha, v):
-        """Multiplication by variable v: piece(α) → piece(α + e_v).
+        """Multiplication by variable v: piece(α) → piece(α + e_v), off the
+        wall α_v = −1.
 
-        Depends only on (N(α), v, whether α_v = −1): off the wall the two
-        patterns agree and the monomial identification is the identity.
+        There the two patterns agree and the monomial identification is the
+        identity.  The wall itself is read as a rank (``crossing_rank``), so
+        asking for its matrix raises ValueError.
         """
-        alpha = tuple(alpha)
-        pattern = self.context.sign_pattern(alpha)
         if alpha[v] == -1:
-            return self.mult_crossing(pattern, v)
-        return _scaled_identity(self.pattern_dim(pattern), 1)
+            raise ValueError("a wall α_v = −1 is read by crossing_rank, not as a matrix")
+        return _scaled_identity(self.piece_dim(alpha), 1)
 
     def derham_transition(self, alpha, v):
         """Derivative along a degree-1 variable: piece(α) → piece(α − e_v).
@@ -176,14 +170,6 @@ class LocalizationModule(PatternModulePresentation):
         # one-dimensional pieces, and the identity between nonzero ones
         return self.pattern_dim(pattern)
 
-    def mult_crossing(self, pattern, v):
-        pattern = frozenset(pattern)
-        src = self.pattern_dim(pattern)
-        tgt = self.pattern_dim(pattern - {v})
-        if src and tgt:
-            return [[1]]
-        return _zero_rows(tgt, src)
-
     def __repr__(self):
         names = self.context.names
         inv = ",".join(names[v] for v in sorted(self.inverted))
@@ -195,9 +181,9 @@ class LocalCohomologyModule(PatternModulePresentation):
     pattern-wise by the profile's ranks.
 
     A wall crossing is one rank, read off two cached profiles by the long
-    exact sequence of a pair of slices, with no complex built.  The module
-    offers no crossing matrix, so a transition across a wall α_v = −1
-    raises NotImplementedError.
+    exact sequence of a pair of slices, with no complex built; like every
+    module here, it raises ValueError for a transition across a wall
+    α_v = −1.
 
     Every index is accepted: one outside 0..g (g the generator count) has
     no nonzero pattern in the profile, so it reads as the zero module, as
@@ -232,8 +218,9 @@ class LocalCohomologyModule(PatternModulePresentation):
         if not self.pattern_dim(pattern) or not self.pattern_dim(target):
             return 0
         h = self.profile.h
+        # the generators of a normal form that miss v are one already
         rest = [gen for gen, s in zip(self.ideal.generators, self.ideal.supports) if v not in s]
-        c = cohomology_profile(MonomialIdeal(self.context, rest)).h if rest else lambda p, k: 0
+        c = _profile_normalized(MonomialIdeal(self.context, rest)).h if rest else lambda p, k: 0
         rho = [0]
         for k in range(self.profile.gen_count + 2):
             r = h(pattern, k) + h(target, k - 1) - c(target, k - 1) - rho[-1]
@@ -255,9 +242,9 @@ def _euler_matrix(module, alpha):
     """Σ X_v ∂_v on piece(α): over each degree-1 variable, the product of
     the derivative and the multiplication back, summed on integer rows.
 
-    The wall crossing back is only reached at α_v = 0, where the
-    derivative is zero, so a zero derivative skips the term before the
-    crossing is asked for."""
+    The multiplication back would cross the wall only at α_v = 0, where
+    the derivative is zero, so a zero derivative skips the term and every
+    product read is off the wall."""
     ctx = module.context
     dim = module.piece_dim(alpha)
     total = _zero_rows(dim, dim)

@@ -62,6 +62,26 @@ def test_parse_spec_reports_undeclared_variable_position(tmp_path):
     assert f"{path}:3:21: undeclared variable 'Z9'" in err.value.message
 
 
+def test_parse_spec_locates_the_generator_inside_its_list(tmp_path):
+    # an equal string earlier in the file (here the key itself) is not it
+    path = write_spec(
+        tmp_path,
+        '{"deg0_vars": [], "deg1_vars": ["X1"], "generators": ["X1", "generators"]}',
+    )
+    with pytest.raises(CliError) as err:
+        parse_spec(path)
+    assert err.value.message == f"{path}:1:62: undeclared variable 'generators'"
+    # a literal written with escapes has no plain column: the fallback
+    # names the generator and the column in its text
+    path = write_spec(
+        tmp_path,
+        '{"deg0_vars": [], "deg1_vars": ["X1"], "generators": ["X1", "X1*\\u005a9"]}',
+    )
+    with pytest.raises(CliError) as err:
+        parse_spec(path)
+    assert err.value.message == f"{path}: generator 2, column 4: undeclared variable 'Z9'"
+
+
 def test_parse_spec_reports_grammar_errors(tmp_path):
     for gen, fragment in [
         ('"X1^0"', "positive exponent"),

@@ -700,6 +700,41 @@ def test_corrupted_koszul_expectation_fails():
     )
 
 
+def test_every_golden_mismatch_carries_its_key_expected_and_got():
+    # one corrupted expectation of each of the seven kinds: the hit names
+    # its kind and whole key, the expectation and the value computed
+    corpus = {c.case_id: c for c in golden_corpus()}
+    corruptions = [
+        ("y-plane", "shapes", 1, PatternShape.ALL_Z, {"kind": "shape", "i": 1, "expected": "AllZ", "got": "NonnegOnly"}),
+        ("y-plane", "nonzero", (1, -1), True, {"kind": "nonzero", "i": 1, "n": -1, "expected": True, "got": False}),
+        ("maximal-x-m2", "dims", (2, -2), DimValue(7), {"kind": "dim", "i": 2, "n": -2, "expected": 7, "got": 1}),
+        (
+            "y-plane",
+            "strands",
+            (1, (-1,), 3),
+            DimValue(5),
+            {"kind": "strand", "i": 1, "y_part": [-1], "n": 3, "expected": 5, "got": 1},
+        ),
+        ("y-plane", "socles", (1, 0), DimValue(4), {"kind": "socle", "i": 1, "n": 0, "expected": 4, "got": 1}),
+        ("y-plane", "min_primes", (1, 0), {()}, {"kind": "min-primes", "i": 1, "n": 0, "expected": [[]], "got": [[0]]}),
+        (
+            "maximal-x-m1",
+            "koszul",
+            (1, "mult", 0, 0),
+            (DimValue(0), DimValue(2)),
+            {"kind": "koszul", "i": 1, "op": "mult", "v": 0, "n": 0, "expected": [0, 2], "got": [1, 0]},
+        ),
+    ]
+    for case_id, field, key, wrong, hit in corruptions:
+        case = corpus[case_id]
+        expectations = getattr(case, field)
+        assert key in expectations and expectations[key] != wrong, (case_id, key)
+        report = run_golden_case(case._replace(**{field: {**expectations, key: wrong}}))
+        [failure] = report.failures
+        assert failure.name == f"golden:{case_id}"
+        assert json.loads(json.dumps(failure.witness["mismatches"])) == [hit]
+
+
 def test_run_corpus_is_green():
     report = run_corpus()
     assert report.passed
