@@ -176,6 +176,10 @@ def parse_spec(path):
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CliError(2, f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise CliError(2, f"{path}: JSON nested too deeply to read") from None
+    except ValueError:  # an integer literal longer than int() converts
+        raise CliError(2, f"{path}: a number has too many digits") from None
     if not isinstance(doc, dict):
         raise CliError(2, f"{path}: top level must be an object")
     unknown = sorted(set(doc) - _SPEC_KEYS)

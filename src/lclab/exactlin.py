@@ -1,13 +1,14 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything in here is exact: matrices carry Python ints (arbitrary
-precision), and ranks and kernels come from one fraction-free echelon
-routine on integer rows (a forward pass, plus a back step where a basis
-is read off).  Rationals (``fractions.Fraction``) appear only in the
-binomial-basis polynomials and in two routines no part of the package
-calls, ``solve_columns`` and ``rank_fraction_rows``, which stay because
-the benchmark's span tracer (bench/tracer.py) wraps them by name.  No
-floating point anywhere.
+precision), and ranks come from one fraction-free echelon routine on
+integer rows, its forward pass.  The package calls ``rank`` alone.
+Three routines no part of the package calls, ``kernel_basis``,
+``solve_columns`` and ``rank_fraction_rows`` (with the back step
+``_back`` the first two share), stay only because the benchmark's span
+tracer (bench/tracer.py) wraps them by name.  Rationals
+(``fractions.Fraction``) appear only in the binomial-basis polynomials
+and in the last two.  No floating point anywhere.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .exactlin import ExactMatrix, kernel_basis, rank
+from .exactlin import ExactMatrix, rank
 from .monocech import (
     DimValue,
     MonomialIdeal,
@@ -396,17 +396,11 @@ def four_term_check(module, v, kind, n):
 # ---------------------------------------------------------------------------
 
 
-def _slice(module, pattern, low):
-    """(level, d, r) at one pattern: the slice's level i, its differential
-    d^low (zero past either end) built from levels low and low + 1 alone,
-    and the rank r of d^{i−1}, read off the profile with no elimination:
-    r_{−1} = 0 and r_k = |C^k| − h^k − r_{k−1}."""
-    basis = slice_basis(module.ideal, pattern)
-    r = 0
-    for k in range(module.i):
-        r = len(basis[k]) - module.profile.h(pattern, k) - r
-    pair = ([[]] + basis + [[]])[low + 1 : low + 3]
-    return basis[module.i], _complex_from_basis(pair).diffs[0], r
+def _slice(module, pattern):
+    """(level, d^{i−1}, d^i) at one pattern: the slice's level i and its two
+    differentials (zero past either end), built from levels i − 1..i + 1."""
+    levels = ([[]] + slice_basis(module.ideal, pattern) + [[]])[module.i : module.i + 3]
+    return (levels[1], *_complex_from_basis(levels).diffs)
 
 
 def koszul_homology_Y(ideal, i, n):
@@ -416,10 +410,13 @@ def koszul_homology_Y(ideal, i, n):
     Away from the all-(−1) corner some Y-transition is an isomorphism, so
     only corner multidegrees contribute, weighted by the count of degree-1
     exponent tails; there the joint kernel is the piece less the rank of
-    its map into every Y-crossing at once: of the source slice's cocycles,
-    included by position into each target slice (the alive family only
-    grows as the pattern shrinks) and stacked with the targets' d^{i−1}
-    columns, less the targets' coboundary ranks.
+    its map into every Y-crossing at once.  With d the source slice's d^i,
+    ι its level i included by position into each target slice (the alive
+    family only grows as the pattern shrinks) and D the block diagonal of
+    the targets' d^{i−1}, that rank is rank M − rank d − rank D for
+    M = [[d, 0], [ι, D]], since rank M = rank d + rank [ι on ker d, D]:
+    split the source as ker d ⊕ W, and the columns from W have
+    independent tops d(W), while every other column has top zero.
     """
     module = LocalCohomologyModule(ideal, i)
     ctx = module.context
@@ -434,27 +431,24 @@ def koszul_homology_Y(ideal, i, n):
         targets = [pattern - {y} for y in sorted(y_all) if module.pattern_dim(pattern - {y})]
         image = 0
         if targets:
-            level, d, r = _slice(module, pattern, i)
-            cocycles = kernel_basis(d)
-            if len(cocycles) - r != dim:
-                raise AssertionError(
-                    f"{len(cocycles) - r} cocycle classes, not {dim}, at pattern {sorted(pattern)}"
-                )
-            entries = {}
-            nrows = ncols = coboundaries = 0
+            level, d_in, d = _slice(module, pattern)
+            r = rank(d)  # then plus each target's rank, so rank d + rank D
+            classes = len(level) - r - rank(d_in)
+            if classes != dim:
+                raise AssertionError(f"{classes} cocycle classes, not {dim}, at pattern {sorted(pattern)}")
+            entries = dict(d.entries)
+            nrows, ncols = d.nrows, len(level)
             for target in targets:
-                t_level, t_d, t_r = _slice(module, target, i - 1)
+                t_level, t_d, _ = _slice(module, target)
+                r += rank(t_d)
                 position = {sigma: nrows + t for t, sigma in enumerate(t_level)}
-                for col, z in enumerate(cocycles):
-                    for coeff, sigma in zip(z, level):
-                        if coeff:
-                            entries[position[sigma], col] = coeff
+                for col, sigma in enumerate(level):
+                    entries[position[sigma], col] = 1
                 for (row, col), x in t_d.entries.items():
-                    entries[nrows + row, len(cocycles) + ncols + col] = x
+                    entries[nrows + row, ncols + col] = x
                 nrows += t_d.nrows
                 ncols += t_d.ncols
-                coboundaries += t_r
-            image = rank(ExactMatrix(nrows, len(cocycles) + ncols, entries)) - coboundaries
+            image = rank(ExactMatrix(nrows, ncols, entries)) - r
             if not 0 <= image <= min(dim, sum(map(module.pattern_dim, targets))):
                 raise AssertionError(f"image rank {image} out of range at pattern {sorted(pattern)}")
         total = total + x_lattice_count(ctx.m, len(pattern & ctx.x_indices), n).scaled(dim - image)

@@ -150,6 +150,34 @@ def test_main_on_a_file_that_is_not_utf8_prints_no_traceback(tmp_path, capsys):
     assert str(path) in err and "Traceback" not in err
 
 
+# an interpreter with no int() digit limit reads the long number, and the
+# spec then fails on its unknown field
+_LONG_NUMBER_ERROR = "too many digits" if hasattr(sys, "get_int_max_str_digits") else "unknown field"
+
+
+@pytest.mark.parametrize("argv", [["pattern", "--all"], ["verify"]], ids=["pattern", "verify"])
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("[" * 200_000 + "]" * 200_000, "nested too deeply"),
+        (
+            '{"deg0_vars": [], "deg1_vars": ["X1"], "generators": ["X1"], "n": ' + "1" * 5000 + "}",
+            _LONG_NUMBER_ERROR,
+        ),
+    ],
+    ids=["deep", "long-number"],
+)
+def test_unreadable_json_spec_exits_two_with_no_traceback(tmp_path, capsys, argv, text, fragment):
+    # json.loads gives up with RecursionError on deep nesting, and with a
+    # plain ValueError on an integer past int()'s digit limit, neither of
+    # them a JSONDecodeError
+    path = tmp_path / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"lclab: {path}: ") and fragment in err and "Traceback" not in err
+
+
 def test_parse_spec_rejects_unknown_fields(tmp_path, capsys):
     path = write_spec(
         tmp_path,

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lclab import monocech, verify, weylact
+from lclab import exactlin, monocech, verify, weylact
 from lclab.monocech import (
     INFINITE,
     CohomologyProfile,
@@ -318,8 +319,8 @@ def test_crossings_after_a_degree_range_match_a_fresh_module(ideal):
 
 @pytest.mark.parametrize("ideal", [C7, cycle_ideal(8), MIXED], ids=["C7", "C8", "mixed"])
 def test_koszul_builds_no_generator_side_slice(monkeypatch, ideal):
-    # every crossing is read off two profiles: no slice, no alive family,
-    # no kernel and no rank in weylact
+    # every crossing is read off two profiles: no slice, no alive family
+    # and no rank in weylact
     def forbidden(*args):
         raise AssertionError("a koszul query reached the generator side")
 
@@ -327,7 +328,6 @@ def test_koszul_builds_no_generator_side_slice(monkeypatch, ideal):
         (monocech, "slice_basis"),
         (weylact, "slice_basis"),
         (monocech, "_alive_masks"),
-        (weylact, "kernel_basis"),
         (weylact, "rank"),
     ]:
         monkeypatch.setattr(home, name, forbidden)
@@ -751,3 +751,63 @@ def test_socle_mixed_vanishes_both_indices():
 def test_socle_rejects_no_y():
     with pytest.raises(ValueError):
         koszul_homology_Y(MonomialIdeal(CTX2, [(1, 0)]), 1, 0)
+
+
+def _y_corners_with_targets(ideal, i):
+    """The corners (patterns holding every Y) of the index-i module with a
+    nonzero Y-target: the ones koszul_homology_Y ranks."""
+    module = LocalCohomologyModule(ideal, i)
+    y_all = ideal.context.y_indices
+    return [
+        pattern
+        for pattern in module.patterns()
+        if y_all <= pattern and any(module.pattern_dim(pattern - {y}) for y in y_all)
+    ]
+
+
+def test_socle_source_check_names_a_corner_off_by_one(monkeypatch):
+    # |C^i| − rank d^i − rank d^{i−1} of the corner's slice must be the
+    # profile's h^i there: a piece one too large at one corner is caught
+    true_dim = LocalCohomologyModule.pattern_dim
+    checked = 0
+    for ideal in [MIXED, *verify.random_battery(count=40, seed=5)]:
+        if not ideal.context.d:
+            continue
+        for i in range(len(ideal.generators) + 1):
+            for corner in _y_corners_with_targets(ideal, i):
+                h = true_dim(LocalCohomologyModule(ideal, i), corner)
+                message = f"{h} cocycle classes, not {h + 1}, at pattern {sorted(corner)}"
+                with monkeypatch.context() as patch, pytest.raises(AssertionError, match=re.escape(message)):
+                    patch.setattr(
+                        LocalCohomologyModule,
+                        "pattern_dim",
+                        lambda self, pattern, corner=corner: true_dim(self, pattern) + (pattern == corner),
+                    )
+                    koszul_homology_Y(ideal, i, 0)
+                checked += 1
+    assert checked == 42
+
+
+def test_socle_builds_no_kernel_basis(monkeypatch):
+    # the socle ranks one block matrix; nothing in the package solves for
+    # cocycles, so neither the kernel basis nor its back step is reached
+    def forbidden(*args):
+        raise AssertionError("the socle built a kernel basis")
+
+    monkeypatch.setattr(exactlin, "kernel_basis", forbidden)
+    monkeypatch.setattr(exactlin, "_back", forbidden)
+    assert not [m for m in (monocech, verify, weylact) if hasattr(m, "kernel_basis")]
+    socles = corners = 0
+    for case in verify.golden_corpus():
+        for (i, n), expected in case.socles.items():
+            assert koszul_homology_Y(case.ideal, i, n) == expected, (case.case_id, i, n)
+            socles += 1
+    for ideal in verify.random_battery(count=60, seed=5):
+        ctx = ideal.context
+        if not ctx.d:
+            continue
+        for i in range(len(ideal.generators) + 1):
+            corners += len(_y_corners_with_targets(ideal, i))
+            for n in {-ctx.m, 0, 2}:
+                koszul_homology_Y(ideal, i, n)
+    assert (socles, corners) == (29, 56)
