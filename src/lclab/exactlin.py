@@ -95,9 +95,6 @@ class ExactMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, frozenset(self.entries.items())))
-
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols}, {len(self.entries)} nonzero)"
 
@@ -193,9 +190,6 @@ class IntegerPolynomial:
 
     def is_zero(self):
         return not self.coeffs
-
-    def in_validity_range(self, n):
-        return n <= self.bound if self.side == "le" else n >= self.bound
 
     def evaluate(self, n):
         return sum(

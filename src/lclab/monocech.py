@@ -26,13 +26,15 @@ The non-faces of K|_P are the complements of the faces of D_P, so the
 two face counts add up to 2^|P|.  Each pattern's faces are enumerated
 once, on one side: the search of D_P lists its faces until it knows D_P
 is the larger side, and only then are K|_P's facets expanded into
-faces; the complex is built from that face list.  The generator-side
-slices (slice_complex, slice_basis, their alive family an AND of one
-cover row per variable of P) serve only the socle's joint crossing
-rank; they and the window oracle's _cech_dims build through
-_complex_from_basis, which the profile never calls.  From the profile
-this module derives nonvanishing shapes, dimensions, Hilbert data,
-localizations and supports.
+faces; the complex is built from that face list.  One function,
+_pattern_dims, does all of this for one pattern: the profile loops it
+over the patterns, and each Koszul crossing calls it once, for the link
+of v at P∖v.  The generator-side slices (slice_complex, slice_basis,
+their alive family an AND of one cover row per variable of P) serve
+only the socle's joint crossing rank; they and the window oracle's
+_cech_dims build through _complex_from_basis, which the profile never
+calls.  From the profile this module derives nonvanishing shapes,
+dimensions, Hilbert data, localizations and supports.
 """
 
 from __future__ import annotations
@@ -422,6 +424,49 @@ def _dual_faces(minimal, pattern_mask, cap):
     return faces
 
 
+def _pattern_dims(masks, pattern_mask, g):
+    """h^0..h^g at the nonempty pattern P given as ``pattern_mask``, for the
+    generators whose supports are the bitmasks ``masks``; the index bound
+    g is the generator count.  No supports, or a variable of P in none of
+    them, make K|_P a cone and give zeros."""
+    # the minimal restricted supports: K|_P's facets are P∖t for t in the
+    # list (the full simplex when some supp_j misses P, then the list is
+    # [0]), and D_P's faces contain no t
+    minimal, covered = [], 0
+    for t in sorted({s & pattern_mask for s in masks}, key=int.bit_count):
+        if all(u & t != u for u in minimal):
+            minimal.append(t)
+            covered |= t
+    if covered != pattern_mask:
+        # a vertex in no t lies in every facet: K|_P is a cone
+        return (0,) * (g + 1)
+    r = pattern_mask.bit_count()
+    # Non-faces of K|_P are the complements of faces of D_P, so
+    # |K|_P| = 2^r − |D_P|; the union bound over the facets also caps
+    # |K|_P|.  D_P is used when it has at most as many faces.
+    cap = min(1 << (r - 1), 1 + sum((1 << (r - t.bit_count())) - 1 for t in minimal))
+    dual = _dual_faces(minimal, pattern_mask, cap)
+    if dual is None:
+        # K|_P's faces are the subsets of its facets;
+        # h^i(P) = H̃^{i-2}(K|_P), and H̃^{i-2} sits at index i-1
+        faces = {0}
+        for t in minimal:
+            f = sub = pattern_mask ^ t
+            while sub:
+                faces.add(sub)
+                sub = (sub - 1) & f
+        dims = (0,) + cohomology_dims(_link_complex(faces))
+    else:
+        # h^i(P) = H̃^{r-i-1}(D_P), and H̃^{r-i-1} sits at index r-i
+        found = cohomology_dims(_link_complex(dual))
+        dims = (0,) * (r + 1 - len(found)) + found[::-1]
+    # on the dual side index i > g is H̃ below degree |P|−g−1 of D_P
+    if any(dims[g + 1 :]):
+        subset = tuple(v for v in range(pattern_mask.bit_length()) if pattern_mask >> v & 1)
+        raise AssertionError(f"link cohomology beyond index {g} at {subset}")
+    return dims[: g + 1] + (0,) * (g + 1 - len(dims))
+
+
 @lru_cache(maxsize=1024)
 def _profile_normalized(ideal):
     supports = ideal.supports
@@ -431,41 +476,7 @@ def _profile_normalized(ideal):
     by_pattern = {}
     for r in range(1, len(union) + 1):
         for subset in combinations(union, r):
-            pattern_mask = sum(1 << v for v in subset)
-            # the minimal restricted supports: K|_P's facets are P∖t for t
-            # in the list (the full simplex when some supp_j misses P,
-            # then the list is [0]), and D_P's faces contain no t
-            minimal, covered = [], 0
-            for t in sorted({s & pattern_mask for s in masks}, key=int.bit_count):
-                if all(u & t != u for u in minimal):
-                    minimal.append(t)
-                    covered |= t
-            if covered != pattern_mask:
-                # a vertex in no t lies in every facet: K|_P is a cone
-                continue
-            # Non-faces of K|_P are the complements of faces of D_P, so
-            # |K|_P| = 2^r − |D_P|; the union bound over the facets also
-            # caps |K|_P|.  D_P is used when it has at most as many faces.
-            cap = min(1 << (r - 1), 1 + sum((1 << (r - t.bit_count())) - 1 for t in minimal))
-            dual = _dual_faces(minimal, pattern_mask, cap)
-            if dual is None:
-                # K|_P's faces are the subsets of its facets;
-                # h^i(P) = H̃^{i-2}(K|_P), and H̃^{i-2} sits at index i-1
-                faces = {0}
-                for t in minimal:
-                    f = sub = pattern_mask ^ t
-                    while sub:
-                        faces.add(sub)
-                        sub = (sub - 1) & f
-                dims = (0,) + cohomology_dims(_link_complex(faces))
-            else:
-                # h^i(P) = H̃^{r-i-1}(D_P), and H̃^{r-i-1} sits at index r-i
-                found = cohomology_dims(_link_complex(dual))
-                dims = (0,) * (r + 1 - len(found)) + found[::-1]
-            # on the dual side index i > g is H̃ below degree |P|−g−1 of D_P
-            if any(dims[g + 1 :]):
-                raise AssertionError(f"link cohomology beyond index {g} at {subset}")
-            dims = dims[: g + 1] + (0,) * (g + 1 - len(dims))
+            dims = _pattern_dims(masks, sum(1 << v for v in subset), g)
             if any(dims):
                 by_pattern[frozenset(subset)] = dims
     return CohomologyProfile(ideal, g, by_pattern)

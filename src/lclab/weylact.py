@@ -19,9 +19,8 @@ from itertools import combinations
 from .exactlin import ExactMatrix, rank
 from .monocech import (
     DimValue,
-    MonomialIdeal,
     _complex_from_basis,
-    _profile_normalized,
+    _pattern_dims,
     cohomology_profile,
     degree_count,
     normalize,
@@ -180,10 +179,10 @@ class LocalCohomologyModule(PatternModulePresentation):
     """An index-i torsion cohomology module of a monomial ideal, presented
     pattern-wise by the profile's ranks.
 
-    A wall crossing is one rank, read off two cached profiles by the long
-    exact sequence of a pair of slices, with no complex built; like every
-    module here, it raises ValueError for a transition across a wall
-    α_v = −1.
+    A wall crossing is one rank, read by the long exact sequence of a pair
+    of slices off the profile and one more pattern's ranks, and kept per
+    (pattern, v), since it is the same at every degree; like every module
+    here, it raises ValueError for a transition across a wall α_v = −1.
 
     Every index is accepted: one outside 0..g (g the generator count) has
     no nonzero pattern in the profile, so it reads as the zero module, as
@@ -196,6 +195,7 @@ class LocalCohomologyModule(PatternModulePresentation):
         self.ideal = ideal
         self.i = i
         self.profile = cohomology_profile(ideal)
+        self._rho = {}  # (pattern, v) -> crossing rank, for the crossings read
 
     def pattern_dim(self, pattern):
         return self.profile.h(pattern, self.i)
@@ -208,25 +208,30 @@ class LocalCohomologyModule(PatternModulePresentation):
         pair C(A) ⊂ C(B), A = alive(P) ⊆ B = alive(P∖v).  σ lies in B∖A
         exactly when its generators all miss v and supp σ ⊇ P∖v, so the
         quotient is the slice at P∖v of I_v, the ideal of the generators
-        missing v, with the same signs.  With a, b, c the ranks at A, B and
-        of I_v: ρ_{−1} = 0, ρ_k = a_k + b_{k−1} − c_{k−1} − ρ_{k−1}, and each
-        ρ_k lies in [0, min(a_k, b_k)], which closes the sequence at 0."""
+        missing v, with the same signs: its ranks c are those of the link
+        of v in K|_P, which is K^{I_v}|_{P∖v}.  With a, b the ranks at A and
+        B: ρ_{−1} = 0, ρ_k = a_k + b_{k−1} − c_{k−1} − ρ_{k−1}, and each ρ_k
+        lies in [0, min(a_k, b_k)], which closes the sequence at 0."""
         pattern = frozenset(pattern)
         if v not in pattern:
             raise ValueError("crossing needs the variable negative on the source side")
         target = pattern - {v}
         if not self.pattern_dim(pattern) or not self.pattern_dim(target):
             return 0
-        h = self.profile.h
-        # the generators of a normal form that miss v are one already
-        rest = [gen for gen, s in zip(self.ideal.generators, self.ideal.supports) if v not in s]
-        c = _profile_normalized(MonomialIdeal(self.context, rest)).h if rest else lambda p, k: 0
+        if (pattern, v) in self._rho:
+            return self._rho[pattern, v]
+        h, g = self.profile.h, self.profile.gen_count
+        rest = [sum(1 << u for u in s) for s in self.ideal.supports if v not in s]
+        # c_{k−1} at index k, for k = 0..g + 1
+        c = (0,) + _pattern_dims(rest, sum(1 << u for u in target), len(rest))
+        c += (0,) * (g + 2 - len(c))
         rho = [0]
-        for k in range(self.profile.gen_count + 2):
-            r = h(pattern, k) + h(target, k - 1) - c(target, k - 1) - rho[-1]
+        for k in range(g + 2):
+            r = h(pattern, k) + h(target, k - 1) - c[k] - rho[-1]
             if not 0 <= r <= min(h(pattern, k), h(target, k)):
                 raise AssertionError(f"crossing rank {r} out of range in H^{k}, pattern {sorted(pattern)}")
             rho.append(r)
+        self._rho[pattern, v] = rho[self.i + 1]
         return rho[self.i + 1]
 
     def __repr__(self):
@@ -320,29 +325,32 @@ def _remaining_count(ctx, v, pattern, n):
     return degree_count(y_count, m, k, n)
 
 
+def _walls(module, v):
+    """Each wall of v once, as the pattern T = P∖v on its target side, over
+    the patterns P with a nonzero piece on either side of it."""
+    return dict.fromkeys(pattern - {v} for pattern in module.patterns())
+
+
 def koszul_homology_X(module, v, n):
     """(dim H1, dim H0) of multiplication by variable v at coarse degree n.
 
     Cited convention: KoszulConvention (kernel of v: M_{n−deg v} → M_n and
     cokernel at M_n).  Kernels live on walls where the source pattern
-    contains v, cokernels where the target pattern omits it.  The per-wall
-    coarse offsets of a kernel (−deg v, then +deg v back from the negative
+    contains v, cokernels where the target pattern omits it, so each wall
+    T ∪ {v} → T gives both from one crossing rank.  The per-wall coarse
+    offsets of a kernel (−deg v, then +deg v back from the negative
     exponent) cancel, so both sides count the remaining variables at target
     degree n.  Works for either variable block; the name keeps the degree-1
     case, the main one, in front.
     """
     ctx = module.context
     h1 = h0 = DimValue(0)
-    for pattern in module.patterns():
-        dim = module.pattern_dim(pattern)
-        if v in pattern:
-            ker = dim - module.crossing_rank(pattern, v)
-            if ker:
-                h1 = h1 + _remaining_count(ctx, v, pattern - {v}, n).scaled(ker)
-        else:
-            coker = dim - module.crossing_rank(pattern | {v}, v)
-            if coker:
-                h0 = h0 + _remaining_count(ctx, v, pattern, n).scaled(coker)
+    for target in _walls(module, v):
+        source = target | {v}
+        rho = module.crossing_rank(source, v)
+        count = _remaining_count(ctx, v, target, n)
+        h1 = h1 + count.scaled(module.pattern_dim(source) - rho)
+        h0 = h0 + count.scaled(module.pattern_dim(target) - rho)
     return h1, h0
 
 
@@ -351,18 +359,17 @@ def derham_homology(module, v, n):
 
     Kernels are whole pieces on the wall α_v = 0 (coarse n+1, per
     KoszulConvention), cokernels whole pieces on the wall α_v = −1 at
-    coarse n; both remainders sit at coarse degree n+1 after removing v.
+    coarse n; both remainders sit at coarse degree n+1 after removing v,
+    so each wall T ∪ {v}, T gives both from one count.
     """
     ctx = module.context
     if v not in ctx.x_indices:
         raise ValueError("derivatives are only taken in degree-1 variables")
     h1 = h0 = DimValue(0)
-    for pattern in module.patterns():
-        dim = module.pattern_dim(pattern)
-        if v in pattern:
-            h0 = h0 + _remaining_count(ctx, v, pattern - {v}, n + 1).scaled(dim)
-        else:
-            h1 = h1 + _remaining_count(ctx, v, pattern, n + 1).scaled(dim)
+    for target in _walls(module, v):
+        count = _remaining_count(ctx, v, target, n + 1)
+        h1 = h1 + count.scaled(module.pattern_dim(target))
+        h0 = h0 + count.scaled(module.pattern_dim(target | {v}))
     return h1, h0
 
 
@@ -396,10 +403,11 @@ def four_term_check(module, v, kind, n):
 # ---------------------------------------------------------------------------
 
 
-def _slice(module, pattern):
-    """(level, d^{i−1}, d^i) at one pattern: the slice's level i and its two
-    differentials (zero past either end), built from levels i − 1..i + 1."""
-    levels = ([[]] + slice_basis(module.ideal, pattern) + [[]])[module.i : module.i + 3]
+def _slice(module, pattern, width):
+    """The slice's level i at one pattern with the differentials among its
+    ``width`` levels from i − 1 (zero past either end): (level, d^{i−1})
+    for width 2 and (level, d^{i−1}, d^i) for width 3."""
+    levels = ([[]] + slice_basis(module.ideal, pattern) + [[]])[module.i : module.i + width]
     return (levels[1], *_complex_from_basis(levels).diffs)
 
 
@@ -431,7 +439,7 @@ def koszul_homology_Y(ideal, i, n):
         targets = [pattern - {y} for y in sorted(y_all) if module.pattern_dim(pattern - {y})]
         image = 0
         if targets:
-            level, d_in, d = _slice(module, pattern)
+            level, d_in, d = _slice(module, pattern, 3)
             r = rank(d)  # then plus each target's rank, so rank d + rank D
             classes = len(level) - r - rank(d_in)
             if classes != dim:
@@ -439,7 +447,7 @@ def koszul_homology_Y(ideal, i, n):
             entries = dict(d.entries)
             nrows, ncols = d.nrows, len(level)
             for target in targets:
-                t_level, t_d, _ = _slice(module, target)
+                t_level, t_d = _slice(module, target, 2)
                 r += rank(t_d)
                 position = {sigma: nrows + t for t, sigma in enumerate(t_level)}
                 for col, sigma in enumerate(level):

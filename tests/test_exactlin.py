@@ -242,7 +242,6 @@ def test_integer_polynomial_basic():
     assert p.degree == 1
     assert p.evaluate(4) == 5
     assert p.render() == "n + 1"
-    assert p.in_validity_range(0) and not p.in_validity_range(-1)
 
 
 def test_integer_polynomial_negative_tail_render():

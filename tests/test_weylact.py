@@ -273,7 +273,7 @@ def test_koszul_infinite_with_witness():
 
 
 # ---------------------------------------------------------------------------
-# crossing ranks: shared across degrees, and read off two profiles
+# crossing ranks: kept across degrees, and read off the profile and one link
 # ---------------------------------------------------------------------------
 
 SHARED_IDEALS = pytest.mark.parametrize(
@@ -319,8 +319,9 @@ def test_crossings_after_a_degree_range_match_a_fresh_module(ideal):
 
 @pytest.mark.parametrize("ideal", [C7, cycle_ideal(8), MIXED], ids=["C7", "C8", "mixed"])
 def test_koszul_builds_no_generator_side_slice(monkeypatch, ideal):
-    # every crossing is read off two profiles: no slice, no alive family
-    # and no rank in weylact
+    # every crossing is read off the profile and the variable-side ranks
+    # of the link of v at P∖v: no slice, no alive family and no rank in
+    # weylact
     def forbidden(*args):
         raise AssertionError("a koszul query reached the generator side")
 
@@ -384,7 +385,9 @@ LES_IDEALS = [*exhaustive_ideals(4), *random_battery(count=400, seed=9, max_nvar
 def test_crossing_quotients_are_slices_of_the_ideal_missing_v():
     # the quotient C(B)/C(A) of a crossing (P, v), A = alive(P) and
     # B = alive(P∖v), built on the generator side, against the
-    # variable-side profile of I_v, the generators missing v, at P∖v
+    # variable-side profile of I_v, the generators missing v, at P∖v, and
+    # against the ranks of that one pattern that crossing_rank reads, the
+    # link of v in K|_P at I_v's own index bound
     checked = 0
     for ideal in LES_IDEALS:
         ideal = monocech.normalize(ideal)
@@ -400,32 +403,72 @@ def test_crossing_quotients_are_slices_of_the_ideal_missing_v():
                 quotient = cohomology_profile(MonomialIdeal(ideal.context, rest)) if rest else None
                 expected = tuple(quotient.h(target, k) if quotient else 0 for k in range(g + 1))
                 assert monocech._cech_dims(alive, g) == expected, (ideal, pattern, v)
+                masks = [sum(1 << u for u in s) for s in ideal.supports if v not in s]
+                link = monocech._pattern_dims(masks, sum(1 << u for u in target), len(masks))
+                assert link == expected[: len(masks) + 1], (ideal, pattern, v)
+                assert not any(expected[len(masks) + 1 :]), (ideal, pattern, v)
                 checked += 1
     assert checked == 16485
 
 
-def test_generators_missing_v_are_their_own_normal_form(monkeypatch):
-    # crossing_rank reads I_v's profile with no normalize: the normalized
-    # generators missing v keep squarefree supports, no containments and
-    # their sorted order
-    checked = 0
-    for ideal in [*exhaustive_ideals(3), *random_battery(count=200, seed=9)]:
-        ideal = monocech.normalize(ideal)
-        for v in range(ideal.context.nvars):
-            rest = [gen for gen, s in zip(ideal.generators, ideal.supports) if v not in s]
-            if rest:
-                sub = MonomialIdeal(ideal.context, rest)
-                assert monocech.normalize(sub) is sub, (ideal, v)
-                checked += 1
-    assert checked == 776
+def test_koszul_calls_no_normalize(monkeypatch):
+    # a built module reads its crossings with no normal form computed
     module = LocalCohomologyModule(cycle_ideal(8), 5)
 
     def refuse(ideal):
         raise AssertionError(f"normalized {ideal!r}")
 
     monkeypatch.setattr(monocech, "normalize", refuse)
+    monkeypatch.setattr(weylact, "normalize", refuse)
     for n in range(-2, 3):
         koszul_homology_X(module, 0, n)
+
+
+def test_koszul_builds_no_second_ideal(monkeypatch):
+    # once a module is built, no koszul or derham query constructs an
+    # ideal or profiles one
+    modules = [
+        LocalCohomologyModule(ideal, i) for ideal in (C7, MIXED) for i in range(len(ideal.generators) + 1)
+    ]
+
+    def forbidden(*args):
+        raise AssertionError("a koszul query built or profiled a second ideal")
+
+    for home in (monocech, weylact):
+        for name in ("MonomialIdeal", "_profile_normalized", "cohomology_profile"):
+            if hasattr(home, name):
+                monkeypatch.setattr(home, name, forbidden)
+    nonzero = 0
+    for module in modules:
+        ctx = module.context
+        for v in range(ctx.nvars):
+            for n in range(-4, 5):
+                nonzero += koszul_homology_X(module, v, n) != (fin(0), fin(0))
+                if v in ctx.x_indices:
+                    nonzero += derham_homology(module, v, n) != (fin(0), fin(0))
+    assert nonzero
+
+
+def test_each_wall_crossing_is_ranked_once(monkeypatch):
+    # C8, i = 5, v = X1: one link rank per wall whose two pieces are both
+    # nonzero, and none more when the module reads a second degree range
+    module = LocalCohomologyModule(cycle_ideal(8), 5)
+    calls = []
+    real = weylact._pattern_dims
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weylact, "_pattern_dims", counted)
+    walls = {pattern - {0} for pattern in module.patterns()}
+    both = [t for t in walls if module.pattern_dim(t) and module.pattern_dim(t | {0})]
+    for n in range(-12, 9):
+        koszul_homology_X(module, 0, n)
+    assert len(calls) == len(both) > 0
+    for n in range(-30, 31):
+        koszul_homology_X(module, 0, n)
+    assert len(calls) == len(both)
 
 
 def test_crossing_ranks_match_the_long_exact_sequences():
