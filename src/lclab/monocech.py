@@ -29,12 +29,14 @@ is the larger side, and only then are K|_P's facets expanded into
 faces; the complex is built from that face list.  One function,
 _pattern_dims, does all of this for one pattern: the profile loops it
 over the patterns, and each Koszul crossing calls it once, for the link
-of v at P∖v.  The generator-side slices (slice_complex, slice_basis,
-their alive family an AND of one cover row per variable of P) serve
-only the socle's joint crossing rank; they and the window oracle's
-_cech_dims build through _complex_from_basis, which the profile never
-calls.  From the profile this module derives nonvanishing shapes,
-dimensions, Hilbert data, localizations and supports.
+of v at P∖v.  The Y-socle reads K|_P as well: _link_faces lists its
+faces for the profile and the socle alike, and _link_window gives the
+socle the level that carries h^i with its two coboundaries.  The
+generator-side slices (slice_basis, slice_complex) are test references
+that no library path calls; they and the window oracle's _cech_dims
+build through _complex_from_basis, which the engine never calls.  From
+the profile this module derives nonvanishing shapes, dimensions,
+Hilbert data, localizations and supports.
 """
 
 from __future__ import annotations
@@ -244,44 +246,10 @@ def normalize(ideal):
 # ---------------------------------------------------------------------------
 
 
-def _alive_masks(supports, pattern):
-    """The subsets σ (bitmasks over generators) with pattern ⊆ supp(m_σ), as
-    an alive family: an int whose bit σ is set when σ is alive.
-
-    It is the AND, over v in the pattern, of v's cover row: the family of
-    the σ that hold some generator whose support contains v.  A row is
-    built by doubling over the generators: a σ whose highest generator
-    is j is σ' + 2^j for some σ' < 2^j, and it is in the row when supp_j
-    contains v, or else when σ' is.  The empty σ (the ring summand) is
-    in no row, so it is alive exactly when the pattern is empty;
-    aliveness is upward-closed since supports only grow along σ.
-    """
-    alive = (1 << (1 << len(supports))) - 1
-    for v in pattern:
-        row = 0
-        for j, support in enumerate(supports):
-            width = 1 << j
-            row |= (((1 << width) - 1) if v in support else row) << width
-        alive &= row
-    return alive
-
-
-def _basis_from_alive(alive, g):
-    """Alive subsets grouped by size, each level in lexicographic order."""
-    basis = [[] for _ in range(g + 1)]
-    for mask in range(1 << g):
-        if alive >> mask & 1:
-            sigma = tuple(j for j in range(g) if mask >> j & 1)
-            basis[len(sigma)].append(sigma)
-    for level in basis:
-        level.sort()
-    return basis
-
-
 def _complex_from_basis(basis):
-    """The Čech complex on per-level generator subsets (as _basis_from_alive
-    lists them); the differential carries the usual (−1)^position signs
-    under the fixed generator order."""
+    """The Čech complex on per-level generator subsets (level p lists
+    p-tuples of generator indices); the differential carries the usual
+    (−1)^position signs under the fixed generator order."""
     index = [{sigma: col for col, sigma in enumerate(level)} for level in basis]
     diffs = []
     for p in range(len(basis) - 1):
@@ -304,15 +272,31 @@ def _cech_dims(alive, g):
     Keyed only by the alive family so distinct multidegrees (and distinct
     ideals) with the same combinatorics share one rank computation.
     """
-    return cohomology_dims(_complex_from_basis(_basis_from_alive(alive, g)))
+    basis = [[] for _ in range(g + 1)]
+    for mask in range(1 << g):
+        if alive >> mask & 1:
+            sigma = tuple(j for j in range(g) if mask >> j & 1)
+            basis[len(sigma)].append(sigma)
+    return cohomology_dims(_complex_from_basis(basis))
 
 
 def slice_basis(ideal, pattern):
     """Per-level basis of the slice at sign pattern ``pattern``: level p
     lists the p-subsets σ of the generators with pattern ⊆ supp(m_σ), in
-    lexicographic order."""
-    ideal = normalize(ideal)
-    return _basis_from_alive(_alive_masks(ideal.supports, frozenset(pattern)), len(ideal.supports))
+    ``combinations`` order.
+
+    This is the literal rule, a reference for the tests: no library path
+    calls it or slice_complex, and both keep their names here because the
+    span tracer in bench/tracer.py wraps them by name.
+    """
+    supports = normalize(ideal).supports
+    pattern = frozenset(pattern)
+
+    def covers(sigma):
+        return pattern <= frozenset().union(*(supports[j] for j in sigma))
+
+    g = len(supports)
+    return [[sigma for sigma in combinations(range(g), p) if covers(sigma)] for p in range(g + 1)]
 
 
 def slice_complex(ideal, pattern):
@@ -366,33 +350,65 @@ class CohomologyProfile:
         return f"CohomologyProfile({self.ideal!r}, {len(self.by_pattern)} patterns)"
 
 
-def _link_complex(faces):
-    """Augmented simplicial cochain complex of a simplicial complex given by
-    all of its faces, each once, as bitmasks (K|_P or its Alexander dual
-    D_P).
-
-    Level p holds the faces with p vertices (level 0 is the empty face),
-    each level in increasing mask order; the coboundary carries the sign
-    (−1)^t for the t-th vertex of a face in increasing order.  Kept apart
-    from _complex_from_basis, through which the crossings and the window
-    oracle build, so the profile and the oracle share no complex code.
-    """
+def _link_levels(faces):
+    """Faces grouped by vertex count (level 0 is the empty face), each level
+    in increasing mask order."""
     levels = [[] for _ in range(max(f.bit_count() for f in faces) + 1)]
     for q in sorted(faces):
         levels[q.bit_count()].append(q)
-    index = [{q: col for col, q in enumerate(level)} for level in levels]
-    diffs = []
-    for p in range(len(levels) - 1):
-        entries = {}
-        for row, tau in enumerate(levels[p + 1]):
-            rest, t = tau, 0
-            while rest:
-                low = rest & -rest
-                entries[(row, index[p][tau ^ low])] = -1 if t % 2 else 1
-                rest ^= low
-                t += 1
-        diffs.append(ExactMatrix(len(levels[p + 1]), len(levels[p]), entries))
-    return FiniteComplex([len(level) for level in levels], diffs)
+    return levels
+
+
+def _coboundary(lower, upper):
+    """The coboundary from the faces ``lower`` to the faces ``upper``, one
+    vertex larger, every face of ``upper`` having its facets in ``lower``;
+    the t-th vertex of a face in increasing order carries the sign (−1)^t."""
+    index = {q: col for col, q in enumerate(lower)}
+    entries = {}
+    for row, tau in enumerate(upper):
+        rest, t = tau, 0
+        while rest:
+            low = rest & -rest
+            entries[(row, index[tau ^ low])] = -1 if t % 2 else 1
+            rest ^= low
+            t += 1
+    return ExactMatrix(len(upper), len(lower), entries)
+
+
+def _link_complex(faces):
+    """Augmented simplicial cochain complex of a simplicial complex given by
+    all of its faces, each once, as bitmasks (K|_P or its Alexander dual
+    D_P), on the levels _link_levels lists.
+
+    Kept apart from _complex_from_basis, through which only the window
+    oracle and the generator-side test references build, so the engine
+    and the oracle share no complex code.
+    """
+    levels = _link_levels(faces)
+    return FiniteComplex(map(len, levels), map(_coboundary, levels, levels[1:]))
+
+
+def _link_window(faces, i):
+    """The window of K|_P's augmented cochain complex, given by its faces,
+    that carries h^i(P) = H̃^{i−2}(K|_P) for i ≥ 1: the faces with i − 1
+    vertices, the coboundary into them and the one out of them, as
+    (level, d_in, d_out); past either end of the complex the next level
+    is empty."""
+    lower, level, upper = [[], *_link_levels(faces), []][i - 1 : i + 2]
+    return level, _coboundary(lower, level), _coboundary(level, upper)
+
+
+def _link_faces(masks, pattern_mask):
+    """Every face of K|_P, each once, as bitmasks: the subsets of the facets
+    P∖s for the supports s in ``masks`` (one not minimal on P adds no
+    face)."""
+    faces = {0}
+    for s in masks:
+        f = sub = pattern_mask & ~s
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & f
+    return faces
 
 
 def _dual_faces(minimal, pattern_mask, cap):
@@ -447,15 +463,8 @@ def _pattern_dims(masks, pattern_mask, g):
     cap = min(1 << (r - 1), 1 + sum((1 << (r - t.bit_count())) - 1 for t in minimal))
     dual = _dual_faces(minimal, pattern_mask, cap)
     if dual is None:
-        # K|_P's faces are the subsets of its facets;
         # h^i(P) = H̃^{i-2}(K|_P), and H̃^{i-2} sits at index i-1
-        faces = {0}
-        for t in minimal:
-            f = sub = pattern_mask ^ t
-            while sub:
-                faces.add(sub)
-                sub = (sub - 1) & f
-        dims = (0,) + cohomology_dims(_link_complex(faces))
+        dims = (0,) + cohomology_dims(_link_complex(_link_faces(minimal, pattern_mask)))
     else:
         # h^i(P) = H̃^{r-i-1}(D_P), and H̃^{r-i-1} sits at index r-i
         found = cohomology_dims(_link_complex(dual))

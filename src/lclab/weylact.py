@@ -19,12 +19,12 @@ from itertools import combinations
 from .exactlin import ExactMatrix, rank
 from .monocech import (
     DimValue,
-    _complex_from_basis,
+    _link_faces,
+    _link_window,
     _pattern_dims,
     cohomology_profile,
     degree_count,
     normalize,
-    slice_basis,
     x_lattice_count,
 )
 
@@ -403,14 +403,6 @@ def four_term_check(module, v, kind, n):
 # ---------------------------------------------------------------------------
 
 
-def _slice(module, pattern, width):
-    """The slice's level i at one pattern with the differentials among its
-    ``width`` levels from i − 1 (zero past either end): (level, d^{i−1})
-    for width 2 and (level, d^{i−1}, d^i) for width 3."""
-    levels = ([[]] + slice_basis(module.ideal, pattern) + [[]])[module.i : module.i + width]
-    return (levels[1], *_complex_from_basis(levels).diffs)
-
-
 def koszul_homology_Y(ideal, i, n):
     """Dimension of the top Koszul homology in all degree-0 variables of
     the index-i cohomology module, at coarse degree n.
@@ -418,46 +410,52 @@ def koszul_homology_Y(ideal, i, n):
     Away from the all-(−1) corner some Y-transition is an isomorphism, so
     only corner multidegrees contribute, weighted by the count of degree-1
     exponent tails; there the joint kernel is the piece less the rank of
-    its map into every Y-crossing at once.  With d the source slice's d^i,
-    ι its level i included by position into each target slice (the alive
-    family only grows as the pattern shrinks) and D the block diagonal of
-    the targets' d^{i−1}, that rank is rank M − rank d − rank D for
-    M = [[d, 0], [ι, D]], since rank M = rank d + rank [ι on ker d, D]:
-    split the source as ker d ⊕ W, and the columns from W have
-    independent tops d(W), while every other column has top zero.
+    its map into every Y-crossing at once.  That map is read on the
+    variable side, h^i(P) = H̃^{i−2}(K|_P): multiplication by y from P to
+    P∖y is restriction of cochains to the subcomplex K|_{P∖y}, the faces
+    without y.  With d the coboundary out of K|_P's level carrying h^i,
+    π its projection onto each target's faces without y and D the block
+    diagonal of the coboundaries into the targets' levels, that rank is
+    rank M − rank d − rank D for M = [[d, 0], [π, D]], since
+    rank M = rank d + rank [π on ker d, D]: split the source as
+    ker d ⊕ W, and the columns from W have independent tops d(W), while
+    every other column has top zero.
     """
     module = LocalCohomologyModule(ideal, i)
     ctx = module.context
     if ctx.d == 0:
         raise ValueError("no degree-0 variables to take Koszul homology in")
     y_all = ctx.y_indices
+    masks = [sum(1 << v for v in s) for s in module.ideal.supports]
     total = DimValue(0)
     for pattern in module.patterns():
         if not y_all <= pattern:
             continue
         dim = module.pattern_dim(pattern)
-        targets = [pattern - {y} for y in sorted(y_all) if module.pattern_dim(pattern - {y})]
+        ys = [y for y in sorted(y_all) if module.pattern_dim(pattern - {y})]
         image = 0
-        if targets:
-            level, d_in, d = _slice(module, pattern, 3)
+        if ys:
+            faces = _link_faces(masks, sum(1 << v for v in pattern))
+            level, d_in, d = _link_window(faces, i)
             r = rank(d)  # then plus each target's rank, so rank d + rank D
             classes = len(level) - r - rank(d_in)
             if classes != dim:
                 raise AssertionError(f"{classes} cocycle classes, not {dim}, at pattern {sorted(pattern)}")
             entries = dict(d.entries)
             nrows, ncols = d.nrows, len(level)
-            for target in targets:
-                t_level, t_d = _slice(module, target, 2)
+            for y in ys:
+                t_level, t_d, _ = _link_window({f for f in faces if not f >> y & 1}, i)
                 r += rank(t_d)
-                position = {sigma: nrows + t for t, sigma in enumerate(t_level)}
-                for col, sigma in enumerate(level):
-                    entries[position[sigma], col] = 1
+                position = {face: nrows + t for t, face in enumerate(t_level)}
+                for col, face in enumerate(level):
+                    if face in position:
+                        entries[position[face], col] = 1
                 for (row, col), x in t_d.entries.items():
                     entries[nrows + row, ncols + col] = x
                 nrows += t_d.nrows
                 ncols += t_d.ncols
             image = rank(ExactMatrix(nrows, ncols, entries)) - r
-            if not 0 <= image <= min(dim, sum(map(module.pattern_dim, targets))):
+            if not 0 <= image <= min(dim, sum(module.pattern_dim(pattern - {y}) for y in ys)):
                 raise AssertionError(f"image rank {image} out of range at pattern {sorted(pattern)}")
         total = total + x_lattice_count(ctx.m, len(pattern & ctx.x_indices), n).scaled(dim - image)
     return total

@@ -29,7 +29,7 @@ from lclab.monocech import (
     x_lattice_count,
 )
 from lclab import monocech
-from lclab.monocech import _alive_masks, _link_complex, _profile_normalized
+from lclab.monocech import _link_complex, _profile_normalized
 from lclab.verify import exhaustive_ideals, random_battery
 
 CTX_MIXED = VariableContext(("Y1", "Y2"), ("X1",))
@@ -312,32 +312,6 @@ def test_cone_pruned_patterns_are_exactly_the_zero_ones(ideal):
         for subset in combinations(range(nvars), r):
             cone = _is_cone_by_scan(masks, subset)
             assert cone == (frozenset(subset) not in prof.by_pattern), subset
-
-
-def _covers_by_scan(supports, pattern, sigma_mask):
-    covered = frozenset()
-    for j, support in enumerate(supports):
-        if sigma_mask >> j & 1:
-            covered |= support
-    return pattern <= covered
-
-
-@pytest.mark.parametrize(
-    "ideals",
-    [lambda: exhaustive_ideals(3), lambda: random_battery(count=60, seed=5)],
-    ids=["exhaustive-3", "battery-5"],
-)
-def test_alive_masks_is_the_family_that_covers_the_pattern(ideals):
-    for ideal in ideals():
-        supports = normalize(ideal).supports
-        g, nvars = len(supports), ideal.context.nvars
-        for r in range(nvars + 1):
-            for subset in combinations(range(nvars), r):
-                pattern = frozenset(subset)
-                expected = sum(
-                    1 << sigma for sigma in range(1 << g) if _covers_by_scan(supports, pattern, sigma)
-                )
-                assert _alive_masks(supports, pattern) == expected, (ideal, subset)
 
 
 # ---------------------------------------------------------------------------

@@ -317,21 +317,21 @@ def test_crossings_after_a_degree_range_match_a_fresh_module(ideal):
     assert checked or not cohomology_profile(ideal).by_pattern
 
 
+GENERATOR_SIDE = ("slice_basis", "slice_complex", "_complex_from_basis", "_cech_dims")
+
+
 @pytest.mark.parametrize("ideal", [C7, cycle_ideal(8), MIXED], ids=["C7", "C8", "mixed"])
 def test_koszul_builds_no_generator_side_slice(monkeypatch, ideal):
     # every crossing is read off the profile and the variable-side ranks
-    # of the link of v at P∖v: no slice, no alive family and no rank in
-    # weylact
+    # of the link of v at P∖v: no slice, no Čech complex and no rank in
+    # weylact, which binds none of the generator-side names
     def forbidden(*args):
         raise AssertionError("a koszul query reached the generator side")
 
-    for home, name in [
-        (monocech, "slice_basis"),
-        (weylact, "slice_basis"),
-        (monocech, "_alive_masks"),
-        (weylact, "rank"),
-    ]:
-        monkeypatch.setattr(home, name, forbidden)
+    assert not [name for name in GENERATOR_SIDE if hasattr(weylact, name)]
+    for name in GENERATOR_SIDE:
+        monkeypatch.setattr(monocech, name, forbidden)
+    monkeypatch.setattr(weylact, "rank", forbidden)
     ctx = ideal.context
     read = 0
     for i in range(len(ideal.generators) + 1):
@@ -382,6 +382,16 @@ def _les_ranks(h_sub, h_whole, c):
 LES_IDEALS = [*exhaustive_ideals(4), *random_battery(count=400, seed=9, max_nvars=7)]
 
 
+def _alive_by_scan(supports, pattern):
+    """The alive family at ``pattern`` by the literal cover rule: bit σ is
+    set when the supports of the generators in σ cover the pattern."""
+    return sum(
+        1 << sigma
+        for sigma in range(1 << len(supports))
+        if pattern <= frozenset().union(*(s for j, s in enumerate(supports) if sigma >> j & 1))
+    )
+
+
 def test_crossing_quotients_are_slices_of_the_ideal_missing_v():
     # the quotient C(B)/C(A) of a crossing (P, v), A = alive(P) and
     # B = alive(P∖v), built on the generator side, against the
@@ -398,8 +408,7 @@ def test_crossing_quotients_are_slices_of_the_ideal_missing_v():
                 if not target:
                     continue  # the ring summand: a zero piece, never read
                 rest = [gen for gen, s in zip(ideal.generators, ideal.supports) if v not in s]
-                alive = monocech._alive_masks(ideal.supports, target)
-                alive &= ~monocech._alive_masks(ideal.supports, pattern)
+                alive = _alive_by_scan(ideal.supports, target) & ~_alive_by_scan(ideal.supports, pattern)
                 quotient = cohomology_profile(MonomialIdeal(ideal.context, rest)) if rest else None
                 expected = tuple(quotient.h(target, k) if quotient else 0 for k in range(g + 1))
                 assert monocech._cech_dims(alive, g) == expected, (ideal, pattern, v)
@@ -487,7 +496,7 @@ def test_crossing_ranks_match_the_long_exact_sequences():
         modules = [LocalCohomologyModule(ideal, k) for k in range(g + 1)]
 
         def alive(pattern):
-            return monocech._alive_masks(ideal.supports, pattern)
+            return _alive_by_scan(ideal.supports, pattern)
 
         def dims(pattern):
             return [profile.h(pattern, k) for k in range(g + 1)]
@@ -854,3 +863,42 @@ def test_socle_builds_no_kernel_basis(monkeypatch):
             for n in {-ctx.m, 0, 2}:
                 koszul_homology_Y(ideal, i, n)
     assert (socles, corners) == (29, 56)
+
+
+def test_socle_builds_no_generator_side_slice(monkeypatch):
+    # the socle ranks restrictions of K|_P: with the generator-side slices
+    # and Čech complexes made to raise, every golden socle holds, and the
+    # battery's socles match fraction elimination on the slices, corner by
+    # corner, computed before the patches go in
+    battery, corners = [], 0
+    for ideal in verify.random_battery(count=60, seed=5):
+        ctx = ideal.context
+        if not ctx.d:
+            continue
+        for i in range(len(ideal.generators) + 1):
+            corners += len(_y_corners_with_targets(ideal, i))
+            corner_patterns = [p for p in LocalCohomologyModule(ideal, i).patterns() if ctx.y_indices <= p]
+            socles = [(len(p & ctx.x_indices), _socle_by_fractions(ideal, p, i)) for p in corner_patterns]
+            for n in {-ctx.m, 0, 2}:
+                expected = DimValue(0)
+                for k, socle in socles:
+                    expected = expected + monocech.x_lattice_count(ctx.m, k, n).scaled(socle)
+                battery.append((ideal, i, n, expected))
+
+    def forbidden(*args):
+        raise AssertionError("the socle reached the generator side")
+
+    assert not [name for name in GENERATOR_SIDE if hasattr(weylact, name)]
+    for name in GENERATOR_SIDE:
+        monkeypatch.setattr(monocech, name, forbidden)
+    socles = 0
+    for case in verify.golden_corpus():
+        for (i, n), expected in case.socles.items():
+            assert koszul_homology_Y(case.ideal, i, n) == expected, (case.case_id, i, n)
+            socles += 1
+    values = Counter()
+    for ideal, i, n, expected in battery:
+        assert koszul_homology_Y(ideal, i, n) == expected, (ideal, i, n)
+        values[expected.to_json()] += 1
+    assert (socles, corners) == (29, 56)
+    assert values == {0: 529, 1: 12, 3: 1, 6: 1, "infinite": 15}
